@@ -254,7 +254,7 @@ def _q_video_features_decoded(sf_dir: str):
     import pyarrow as pa
 
     from rika_ray.pipelines.extraction import read_web_pages
-    from rika_ray.pipelines.multimodal import VideoFrameStage
+    from rika_ray.pipelines.multimodal import VideoFrameStage, video_means
 
     corpus = _corpus_path(sf_dir)
 
@@ -267,21 +267,6 @@ def _q_video_features_decoded(sf_dir: str):
         ]
         return batch.filter(pa.array(keep, pa.bool_()))
 
-    def _project(batch: pa.Table) -> pa.Table:
-        emb = batch["embedding"].combine_chunks()
-        flat = emb.values.to_numpy(zero_copy_only=False)
-        offs = emb.offsets.to_numpy(zero_copy_only=False)
-        starts = offs[:-1]
-        return pa.table(
-            {
-                "url": batch["url"],
-                "n_sampled": batch["n_frames_sampled"],
-                "mean_r": pa.array(flat[starts].astype("float64")),
-                "mean_g": pa.array(flat[starts + 1].astype("float64")),
-                "mean_b": pa.array(flat[starts + 2].astype("float64")),
-            }
-        )
-
     return (
         read_web_pages(f"{corpus}/web_pages.parquet")
         .map_batches(_is_avi, batch_format="pyarrow")
@@ -292,7 +277,7 @@ def _q_video_features_decoded(sf_dir: str):
             concurrency=2,
             num_cpus=0.5,
         )
-        .map_batches(_project, batch_format="pyarrow")
+        .map_batches(video_means, batch_format="pyarrow")
         .sort("url")
     )
 

@@ -24,8 +24,9 @@ Plus the large-scale training-data operators a 100 TB corpus pipeline needs:
 exact/MinHash-LSH/SimHash/embedding dedup, ANN similarity search, text
 quality scoring, token counting, fingerprinting, and multimodal plumbing.
 
-Nothing in this package calls ``ray.init`` / ``ray.shutdown`` — sessions are
-owned by the caller (driver, bench.py, CLI, test fixture).
+Ray sessions are owned by the caller (driver, bench.py, test fixture);
+only the CLI entry point starts one. No library module starts or stops
+Ray, and the ``shortcuts`` helpers need none.
 """
 
 from rika_ray.schema import EXTRACTED_SCHEMA, WEB_PAGES_SCHEMA

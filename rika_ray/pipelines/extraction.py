@@ -1,25 +1,31 @@
 """The flagship extraction pipeline (SURVEY.md §3.4 lifecycle).
 
 web_pages Dataset
-  → map_batches(detect_content_type)        [stateless tasks; M1 sniff]
-  → map_batches(ExtractStage, concurrency)  [actor pool; M2-M8 router]
-  → map_batches(LangDetectStage, concurrency) [actor pool; T1]
-  → map_batches(finalize)                   [stateless; M8-M11, M13]
+  → map_batches(FusedExtractStage)  [sniff → extract → lang → finalize]
+
+One kernel, one layout: every batch runs the four logical stages in
+process (M1 sniff, M2-M8 router, T1 lang, M8-M11/M13 finalize), so rows
+cross the object store once, between the read and the kernel. The stages
+stay separate classes and functions, testable on their own.
+``shortcuts.parse`` calls the same kernel on a one-row table, without Ray.
+
+Only the cluster size picks the physical form: an actor pool at 4 or
+more CPUs, stateless tasks below that (a pool there would reserve every
+CPU and starve the read and write tasks).
 
 Scale design notes (§4):
 - The extraction path is shuffle-free (embarrassingly parallel); wide ops
   (error tallies, dedup) happen downstream on the much smaller extracted
   table.
-- ``batch_size`` is deliberately small for the extract stage: documents are
-  multi-KB..multi-MB, so a batch of 64-256 rows keeps batch × concurrency
-  within worker heaps; ``route_mega_docs`` additionally isolates
-  mega-documents into their own single-row blocks/batches on the SAME
-  single scan (dynamic block splitting capped at ``mega_doc_bytes`` +
-  whole-block batches) so one 100 MB page cannot stall a batch of small
-  ones (BASELINE.json: "explicit repartitioning to break skew from
-  mega-documents").
-- The raw ``html`` payload is dropped inside ExtractStage, so everything
-  after the router moves only extracted text through the object store.
+- ``batch_size`` is deliberately small: documents are multi-KB..multi-MB,
+  so a batch of 64-256 rows keeps batch × concurrency within worker
+  heaps; ``route_mega_docs`` additionally isolates mega-documents into
+  their own single-row blocks/batches on the SAME single scan (dynamic
+  block splitting capped at ``mega_doc_bytes`` + whole-block batches) so
+  one 100 MB page cannot stall a batch of small ones (BASELINE.json:
+  "explicit repartitioning to break skew from mega-documents").
+- The raw ``html`` payload is dropped inside the extract stage, so the
+  kernel's output carries only extracted data.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import pyarrow as pa
 import ray.data
 
 from rika_ray.stages.extract import ExtractStage
-from rika_ray.stages.finalize import make_finalizer
+from rika_ray.stages.finalize import finalize_batch
 from rika_ray.stages.lang import LangDetectStage
 from rika_ray.stages.sniff import detect_content_type
 
@@ -39,40 +45,30 @@ from rika_ray.stages.sniff import detect_content_type
 class ExtractionConfig:
     max_content_length: int = -1  # chars; -1 unlimited, 0 suppress (M11)
     key_sort: bool = True  # metadata key sort (M10)
-    batch_size: int = 128  # rows per extract batch (docs are heavy)
-    sniff_batch_size: int = 1024
-    extract_concurrency: int | tuple[int, int] | None = None  # actor pool size
-    lang_concurrency: int | tuple[int, int] | None = None
-    lang_batch_size: int = 512
-    # Skew isolation for mega-documents, on the SAME single scan and
-    # composable with ``fused``: the dataset chain's target block size is
-    # capped at ``mega_doc_bytes`` (scoped via ``ds.context`` — never the
-    # process-global DataContext) so Ray's dynamic block splitting
-    # finalizes a mega document into its own block the moment it lands
-    # (carrying at most ``mega_doc_bytes`` of small riders), and the
-    # extract stage batches whole blocks (``batch_size=None``) so that
-    # block IS the mega doc's batch. No fork, no second corpus scan, no
-    # union — the cost is one object-store hop (read fusion must be broken
-    # so block building runs between read and extract).
+    batch_size: int = 128  # rows per kernel batch (docs are heavy)
+    # actor pool size at 4+ CPUs; None = 3/4 of the cluster's CPUs
+    extract_concurrency: int | tuple[int, int] | None = None
+    # Skew isolation for mega-documents, on the SAME single scan: the
+    # dataset chain's target block size is capped at ``mega_doc_bytes``
+    # (scoped via ``ds.context`` — never the process-global DataContext)
+    # so Ray's dynamic block splitting finalizes a mega document into its
+    # own block the moment it lands (carrying at most ``mega_doc_bytes``
+    # of small riders), and the kernel batches whole blocks
+    # (``batch_size=None``) so that block IS the mega doc's batch. No
+    # fork, no second corpus scan, no union — the cost is one object-store
+    # hop (read fusion must be broken so block building runs between read
+    # and kernel).
     route_mega_docs: bool = False
     mega_doc_bytes: int = 4 * 1024 * 1024
     # §2.9 user-extension hook: callable bytes->media_type replacing the
     # built-in magic-byte sniffer (Rika.parse detector: analogue). Must be
     # a picklable top-level callable (ships to workers).
     detector: object | None = None
-    # Physical fusion of the hot path: one actor pool runs
-    # sniff→extract→lang→finalize in-process per batch. Same per-row
-    # semantics (the logical stages stay separately testable), but 1 object
-    # store boundary instead of 4 and one pool to size instead of two —
-    # measured ~2× throughput and better N→4N scaling. Set False to run
-    # the staged layout (used by tests to prove output parity).
-    fused: bool = True
 
 
 class FusedExtractStage:
-    """sniff + extract + lang + finalize composed in one actor (per-batch,
-    per-row semantics identical to the staged pipeline — parity is enforced
-    by a dedicated test)."""
+    """sniff + extract + lang + finalize on one batch, in process. Each
+    row's result depends only on that row, not on its batch."""
 
     def __init__(
         self,
@@ -80,13 +76,8 @@ class FusedExtractStage:
         key_sort: bool = True,
         detector=None,
     ):
-        from rika_ray.stages.extract import ExtractStage
-        from rika_ray.stages.finalize import finalize_batch
-        from rika_ray.stages.lang import LangDetectStage
-
         self._extract = ExtractStage()
         self._lang = LangDetectStage()
-        self._finalize = finalize_batch
         self._max_len = max_content_length
         self._key_sort = key_sort
         self._detector = detector
@@ -95,7 +86,7 @@ class FusedExtractStage:
         batch = detect_content_type(batch, detector=self._detector)
         batch = self._extract(batch)
         batch = self._lang(batch)
-        return self._finalize(
+        return finalize_batch(
             batch, max_content_length=self._max_len, key_sort=self._key_sort
         )
 
@@ -127,16 +118,9 @@ def build_extraction_pipeline(
     write_parquet / iter_batches / aggregates — never materialized here.
     """
     cfg = cfg or ExtractionConfig()
-
-    # Size pools so their sum leaves CPUs for the stateless task operators
-    # (read / sniff / finalize) — a pool set that reserves every CPU starves
-    # them and the pipeline deadlocks. All sizes are computed into LOCALS
-    # (never written back to cfg) so a config object reused across pipelines
-    # or cluster sizes is re-sized per call.
     from rika_ray.pool import cluster_cpus, pool_size
 
-    ncpu = cluster_cpus()
-
+    kwargs = dict(batch_format="pyarrow", batch_size=cfg.batch_size)
     if cfg.route_mega_docs:
         # Cap THIS dataset chain's block size at the mega threshold:
         # dynamic block splitting then finalizes any block the moment it
@@ -144,102 +128,46 @@ def build_extraction_pipeline(
         # most cap-bytes of small riders. Scoped to ds.context (the plan's
         # context copy) — the process-global DataContext is untouched.
         ds.context.target_max_block_size = cfg.mega_doc_bytes
+        # whole-block batches (block = batch, so the mega doc's block is
+        # its own batch) + a non-default num_cpus so the read does NOT
+        # fuse into the kernel — with fusion the kernel would see raw
+        # reader output before block building ever runs
+        kwargs["batch_size"] = None
+        kwargs["num_cpus"] = 0.99
 
-    if cfg.fused:
+    if cluster_cpus() >= 4:
         pool = cfg.extract_concurrency
         if pool is None:
             # constant worker fraction (3/4 of slots; rest for read/write
-            # tasks): keeps utilization proportional across cluster sizes,
-            # which both avoids task starvation and makes N-vs-4N scaling
-            # comparisons apples-to-apples
+            # tasks): a pool that reserves every CPU starves them and the
+            # pipeline deadlocks; the fraction also keeps N-vs-4N scaling
+            # comparisons apples-to-apples. Computed into a local, never
+            # written back to cfg, so a reused config is re-sized per call.
             pool = pool_size(0.75, floor=1)
-        kwargs = dict(
-            batch_format="pyarrow",
-            batch_size=cfg.batch_size,
+        # deeper per-actor task pipelining (4 in flight vs default 2)
+        # hides dispatch latency — measured +10-15% pool utilization at
+        # 32 CPUs; 8 in flight over-queues slow actors and regresses.
+        # Scoped to this dataset chain's context, not the global.
+        ds.context.max_tasks_in_flight_per_actor = 4
+        return ds.map_batches(
+            FusedExtractStage,
+            concurrency=pool,
             fn_constructor_kwargs={
                 "max_content_length": cfg.max_content_length,
                 "key_sort": cfg.key_sort,
                 "detector": cfg.detector,
             },
+            **kwargs,
         )
-        if cfg.route_mega_docs:
-            # whole-block batches (block = batch, so the mega doc's block
-            # is its own batch) + a non-default num_cpus so the read does
-            # NOT fuse into the pool — with fusion the actors would see
-            # raw reader output before block building ever runs
-            kwargs["batch_size"] = None
-            kwargs["num_cpus"] = 0.99
-        if ncpu >= 4:
-            # deeper per-actor task pipelining (4 in flight vs default 2)
-            # hides dispatch latency — measured +10-15% pool utilization at
-            # 32 CPUs; 8 in flight over-queues slow actors and regresses.
-            # Scoped to this dataset chain's context, not the global.
-            ds.context.max_tasks_in_flight_per_actor = 4
-            return ds.map_batches(
-                FusedExtractStage, concurrency=pool, **kwargs
-            )
-        # tiny cluster: same fused kernel as stateless tasks
-        fused = FusedExtractStage(
-            cfg.max_content_length, cfg.key_sort, cfg.detector
-        )
-
-        def _fused_task(batch: pa.Table) -> pa.Table:
-            return fused(batch)
-
-        del kwargs["fn_constructor_kwargs"]
-        return ds.map_batches(_fused_task, **kwargs)
-
-    use_actor_pools = ncpu >= 4 or cfg.extract_concurrency is not None
-    lang_concurrency = cfg.lang_concurrency
-    extract_concurrency = cfg.extract_concurrency
-    if use_actor_pools:
-        if lang_concurrency is None:
-            lang_concurrency = max(1, ncpu // 8)
-        lang_n = (
-            lang_concurrency[1]
-            if isinstance(lang_concurrency, tuple)
-            else lang_concurrency
-        )
-        if extract_concurrency is None:
-            extract_concurrency = max(1, ncpu - lang_n - 2)
-
-    ds = ds.map_batches(
-        detect_content_type,
-        batch_format="pyarrow",
-        batch_size=cfg.sniff_batch_size,
-        fn_kwargs={"detector": cfg.detector} if cfg.detector else {},
+    # tiny cluster: the same kernel as stateless tasks
+    fused = FusedExtractStage(
+        cfg.max_content_length, cfg.key_sort, cfg.detector
     )
 
-    from rika_ray.stages.extract import extract_batch_task
-    from rika_ray.stages.lang import lang_batch_task
+    def _fused_task(batch: pa.Table) -> pa.Table:
+        return fused(batch)
 
-    extract_kwargs = dict(batch_format="pyarrow", batch_size=cfg.batch_size)
-    if use_actor_pools:
-        extract_kwargs["concurrency"] = extract_concurrency
-    extract_callable = ExtractStage if use_actor_pools else extract_batch_task
-
-    if cfg.route_mega_docs:
-        # same block-isolation routing as the fused path (the context block
-        # cap is already set above): whole-block batches so the mega doc's
-        # size-capped block is its own batch, and a non-default num_cpus so
-        # the sniff task op doesn't fuse into the extract stage (fusion
-        # would bypass the block building that isolates mega docs)
-        extract_kwargs["batch_size"] = None
-        extract_kwargs["num_cpus"] = 0.99
-    ds = ds.map_batches(extract_callable, **extract_kwargs)
-
-    lang_kwargs = dict(batch_format="pyarrow", batch_size=cfg.lang_batch_size)
-    if use_actor_pools:
-        lang_kwargs["concurrency"] = lang_concurrency
-    lang_callable = LangDetectStage if use_actor_pools else lang_batch_task
-    ds = ds.map_batches(lang_callable, **lang_kwargs)
-
-    ds = ds.map_batches(
-        make_finalizer(cfg.max_content_length, cfg.key_sort),
-        batch_format="pyarrow",
-        batch_size=cfg.lang_batch_size,
-    )
-    return ds
+    return ds.map_batches(_fused_task, **kwargs)
 
 
 _NULL_KEY = "\x00<null>"

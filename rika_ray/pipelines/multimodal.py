@@ -458,6 +458,28 @@ class VideoFrameStage:
         )
 
 
+def video_means(batch: pa.Table) -> pa.Table:
+    """``VideoFrameStage`` rows → url, sampled-frame count and channel
+    means. Error rows are dropped first: their embedding is null, and the
+    flat-buffer slices below index the embedding values by list offsets,
+    so a null would hand its row another video's values."""
+    import pyarrow.compute as pc
+
+    batch = batch.filter(pc.is_null(batch["error"]))
+    emb = batch["embedding"].combine_chunks()
+    flat = emb.values.to_numpy(zero_copy_only=False)
+    starts = emb.offsets.to_numpy(zero_copy_only=False)[:-1]
+    return pa.table(
+        {
+            "url": batch["url"],
+            "n_sampled": batch["n_frames_sampled"],
+            "mean_r": pa.array(flat[starts].astype("float64")),
+            "mean_g": pa.array(flat[starts + 1].astype("float64")),
+            "mean_b": pa.array(flat[starts + 2].astype("float64")),
+        }
+    )
+
+
 def video_frame_pipeline(
     web_pages: ray.data.Dataset,
     every: int = 6,

@@ -6,52 +6,54 @@ Convenience one-liners for interactive sessions::
     >>> from rika_ray.shortcuts import parse, content, metadata, language
     >>> parse("doc.pdf")["content"]
 
-Each helper runs the full pipeline on a single local file or URL and
-returns plain Python values. They own no Ray session (auto-init via
-Ray Data when standalone, guarded)."""
+Each helper runs the pipeline's fused kernel (``FusedExtractStage``) in
+process on a single local file or URL and returns plain Python values —
+the same row the Ray pipeline produces for that document. No Ray session
+is started or needed; the kernel is built once per process and per
+config."""
 
 from __future__ import annotations
 
+import functools
 from typing import Any
+
+
+@functools.lru_cache(maxsize=8)
+def _kernel(max_content_length: int, key_sort: bool, detector):
+    from rika_ray.pipelines.extraction import FusedExtractStage
+
+    return FusedExtractStage(max_content_length, key_sort, detector)
 
 
 def parse(target: str, **cfg_kwargs) -> dict[str, Any]:
     """Parse one file/URL → the extracted row as a dict (the ParseResult
-    analogue, ``lib/rika/parse_result.rb:5-15``)."""
-    import ray
+    analogue, ``lib/rika/parse_result.rb:5-15``). ``cfg_kwargs`` are
+    ``ExtractionConfig`` fields; the url column is ``target`` as given."""
+    import pyarrow as pa
 
-    if not ray.is_initialized():
-        ray.init(
-            address="local",
-            include_dashboard=False,
-            ignore_reinit_error=True,
-            logging_level="ERROR",
-        )
-    from rika_ray.pipelines.extraction import (
-        ExtractionConfig,
-        build_extraction_pipeline,
-    )
+    from rika_ray.pipelines.extraction import ExtractionConfig
+    from rika_ray.schema import WEB_PAGES_SCHEMA
+    from rika_ray.sources.ingest import INGEST_EPOCH, fetch_to_table
 
+    cfg = ExtractionConfig(**cfg_kwargs)
     if target.startswith(("http://", "https://")):
-        import ray.data as rd
-
-        from rika_ray.sources.ingest import fetch_to_table
-
         tbl = fetch_to_table([target])
         err = tbl.column("error_type")[0].as_py()
         if err is not None:
             raise OSError(
                 f"{err}: {tbl.column('error_message')[0].as_py()}"
             )
-        ds = rd.from_arrow(tbl.drop_columns(["error_type", "error_message"]))
+        page = tbl.drop_columns(["error_type", "error_message"])
     else:
-        from rika_ray.sources.ingest import read_files_as_web_pages
-
-        ds = read_files_as_web_pages([target])
-    rows = build_extraction_pipeline(
-        ds, ExtractionConfig(**cfg_kwargs)
-    ).take_all()
-    return rows[0]
+        with open(target, "rb") as f:
+            body = f.read()
+        page = pa.Table.from_pylist(
+            [{"url": target, "warc_ts": INGEST_EPOCH, "html": body,
+              "text": None, "lang": None}],
+            schema=WEB_PAGES_SCHEMA,
+        )
+    kernel = _kernel(cfg.max_content_length, cfg.key_sort, cfg.detector)
+    return kernel(page).to_pylist()[0]
 
 
 def content(target: str) -> str | None:

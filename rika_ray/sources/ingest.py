@@ -23,7 +23,8 @@ import ray.data
 
 from rika_ray.schema import WEB_PAGES_SCHEMA
 
-_EPOCH = datetime(2026, 1, 1)
+# warc_ts of every loose-file or fetched page (they carry no crawl time)
+INGEST_EPOCH = datetime(2026, 1, 1)
 
 
 def read_files_as_web_pages(paths: list[str]) -> ray.data.Dataset:
@@ -35,7 +36,7 @@ def read_files_as_web_pages(paths: list[str]) -> ray.data.Dataset:
         return pa.table(
             {
                 "url": batch["path"],
-                "warc_ts": pa.array([_EPOCH] * n, pa.timestamp("us")),
+                "warc_ts": pa.array([INGEST_EPOCH] * n, pa.timestamp("us")),
                 "html": batch["bytes"].cast(pa.large_binary()),
                 "text": pa.array([None] * n, pa.string()),
                 "lang": pa.array([None] * n, pa.string()),
@@ -95,7 +96,7 @@ def fetch_to_table(urls: list[str], timeout: float = 10.0) -> pa.Table:
         rows.append(
             {
                 "url": url,
-                "warc_ts": _EPOCH,
+                "warc_ts": INGEST_EPOCH,
                 "html": body,
                 "text": None,
                 "lang": None,

@@ -2260,6 +2260,10 @@ def _vp8l_write_code(
     """Serialize one prefix code (simple form for <=2 symbols, else the
     code-length-coded normal form) and return its encode table."""
     used = sorted(lengths)
+    if used[-1] >= alphabet_size:
+        raise CodecError(
+            f"VP8L: symbol {used[-1]} outside a {alphabet_size}-symbol code"
+        )
     if len(used) <= 2 and max(used) < 256:
         w.put(1, 1)                     # simple
         w.put(len(used) - 1, 1)
@@ -2331,6 +2335,9 @@ def _vp8l_prefix_encode(value: int) -> tuple[int, int, int]:
     return 2 * e + 2 + half, x - ((2 + half) << e), e
 
 
+_VP8L_MAX_RUN = 4096
+
+
 def vp8l_encode(pixels: np.ndarray) -> bytes:
     """Lossless WebP (RIFF/WEBP/VP8L) from (H, W, 3) uint8: no
     transforms, no color cache, one prefix-code group, literals plus
@@ -2352,8 +2359,10 @@ def vp8l_encode(pixels: np.ndarray) -> bytes:
     i = 0
     while i < n:
         if same[i]:
+            # one token copies at most 4,096 pixels (the largest length
+            # the 24 length prefix codes reach); a longer run takes more
             run = 1
-            while i + run < n and same[i + run]:
+            while run < _VP8L_MAX_RUN and i + run < n and same[i + run]:
                 run += 1
             if run >= 4:
                 tokens.append((1, run))

@@ -4,8 +4,8 @@ One `map_batches` pass with per-type sub-kernels (branch on the sniffed
 ``media_type`` per row) rather than N filtered sub-pipelines — this keeps a
 single scan over the corpus (SURVEY.md §3.4 "Mixed-format routing").
 
-Shaped as an actor-pool callable class: parser state (the PDF layout
-machinery, charset tables, dispatch table) lives on the actor, initialized
+Shaped as a callable class of the fused kernel: parser state (the PDF layout
+machinery, charset tables, dispatch table) lives on the instance, initialized
 once per worker (§2.3 stages T2/T3) — the scale analogue of the reference's
 once-per-JVM Tika bootstrap (``/root/reference/lib/rika.rb:16-34``).
 
@@ -70,26 +70,12 @@ _IMAGES = {
 }
 
 
-_TASK_SINGLETON = None
-
-
-def extract_batch_task(batch: pa.Table) -> pa.Table:
-    """Stateless-task variant of ExtractStage for tiny clusters (<4 CPUs)
-    where dedicated actor pools would reserve every CPU and starve the task
-    operators. Ray reuses worker processes, so the module-level singleton
-    still gives once-per-worker parser state."""
-    global _TASK_SINGLETON
-    if _TASK_SINGLETON is None:
-        _TASK_SINGLETON = ExtractStage()
-    return _TASK_SINGLETON(batch)
-
-
 class ExtractStage:
-    """Actor-pool `map_batches` callable: sniffed web_pages batch →
+    """Kernel stage: sniffed web_pages batch →
     + content, content_type, charset, spans, metadata columns."""
 
     def __init__(self) -> None:
-        # dispatch table + any parser state, built once per actor
+        # dispatch table + any parser state, built once per instance
         self._dispatch = {
             sniff_mod.HTML: self._do_html,
             sniff_mod.PDF: self._do_pdf,
@@ -506,11 +492,10 @@ class ExtractStage:
         # container sniff says OLE2; refine by directory stream names
         # (Tika-style container inspection): WordDocument → msword,
         # Workbook/Book → ms-excel, PowerPoint Document → ms-powerpoint;
-        # anything else falls back to empty content with the container type
-        try:
-            streams = CfbFile(data).streams()
-        except OfficeParseError:
-            return "", media, None, [], {}
+        # anything else falls back to empty content with the container
+        # type. A container whose FAT or directory cannot be read is a
+        # parse error.
+        streams = CfbFile(data).streams()
         try:
             if "WordDocument" in streams:
                 content, spans, meta = extract_doc(data, streams)

@@ -16,8 +16,8 @@ Reference semantics recreated:
 - input-type classification file/http from the data-source string
   (``lib/rika/parser.rb:59-71``).
 
-Stateless `map_batches` kernel; truncation is a vectorized
-``pc.utf8_slice_codepoints`` call.
+Stateless batch function, the last stage of the fused kernel; truncation
+is a vectorized ``pc.utf8_slice_codepoints`` call.
 """
 
 from __future__ import annotations
@@ -93,13 +93,3 @@ def finalize_batch(
     out = pa.table(dict(zip(cols.keys(), arrays)))
     return out.cast(EXTRACTED_SCHEMA)
 
-
-def make_finalizer(max_content_length: int = -1, key_sort: bool = True):
-    """Bind config → a stateless map_batches kernel."""
-
-    def _finalize(batch: pa.Table) -> pa.Table:
-        return finalize_batch(
-            batch, max_content_length=max_content_length, key_sort=key_sort
-        )
-
-    return _finalize

@@ -550,25 +550,10 @@ def detect_language(
     return lang
 
 
-_TASK_PROFILES = None
-
-
-def lang_batch_task(batch: pa.Table) -> pa.Table:
-    """Stateless-task variant of LangDetectStage for tiny clusters; the
-    module-level profile cache persists per reused worker process."""
-    global _TASK_PROFILES
-    if _TASK_PROFILES is None:
-        _TASK_PROFILES = build_profiles()
-    langs = [
-        detect_language(batch["content"][i].as_py(), _TASK_PROFILES)
-        for i in range(len(batch))
-    ]
-    return batch.append_column("language", pa.array(langs, pa.string()))
-
-
 class LangDetectStage:
-    """Actor-pool `map_batches` callable: adds a `language` column from
-    `content`. Profiles are built once per actor in __init__ (T1)."""
+    """`map_batches` callable (a fused-kernel stage, and the ``lang_id``
+    actor pool): adds a `language` column from `content`. Profiles are
+    built once per instance in __init__ (T1)."""
 
     def __init__(self) -> None:
         self.profiles = build_profiles()

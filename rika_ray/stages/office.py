@@ -39,7 +39,6 @@ class OfficeParseError(Exception):
 
 _CFB_MAGIC = b"\xd0\xcf\x11\xe0\xa1\xb1\x1a\xe1"
 _ENDOFCHAIN = 0xFFFFFFFE
-_MAX_CHAIN = 1 << 20
 
 
 class CfbFile:
@@ -80,15 +79,18 @@ class CfbFile:
         return self.data[start : start + self.sector_size]
 
     def _chain(self, start: int) -> bytes:
+        """A sector chain's bytes. Each sector is visited at most once, so
+        a chain can be no longer than the file: a FAT that loops back is
+        refused at its first repeated sector."""
         out = []
+        seen: set[int] = set()
         sid = start
-        seen = 0
         while sid != _ENDOFCHAIN:
-            if sid >= len(self.fat) or seen > _MAX_CHAIN:
+            if sid >= len(self.fat) or sid in seen:
                 raise OfficeParseError("broken FAT chain")
+            seen.add(sid)
             out.append(self._sector(sid))
             sid = self.fat[sid]
-            seen += 1
         return b"".join(out)
 
     def streams(self) -> dict[str, bytes]:

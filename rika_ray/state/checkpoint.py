@@ -145,24 +145,21 @@ def _process_partition(
 
 def _slot_config(cfg: ExtractionConfig, k: int) -> ExtractionConfig:
     """Divide the default actor-pool budget across ``k`` concurrently
-    executing partitions. Each Dataset execution sizes its pools assuming it
+    executing partitions. Each Dataset execution sizes its pool assuming it
     owns the cluster; k such executions would jointly reserve every CPU and
     starve the read/write tasks (the silent-deadlock failure mode), so each
-    in-flight slot gets an explicit 1/k share. Explicit user-set
-    concurrencies are respected as-is."""
-    if k <= 1:
+    in-flight slot gets an explicit 1/k share. An explicit user-set
+    concurrency is respected as-is."""
+    if k <= 1 or cfg.extract_concurrency is not None:
         return cfg
     from rika_ray.pool import cluster_cpus
 
     ncpu = cluster_cpus()
     if ncpu < 4:
-        return cfg  # task path, no pools to divide
-    overrides = {}
-    if cfg.extract_concurrency is None:
-        overrides["extract_concurrency"] = max(1, int(ncpu * 0.75 / k))
-    if not cfg.fused and cfg.lang_concurrency is None:
-        overrides["lang_concurrency"] = max(1, ncpu // (8 * k))
-    return dataclasses.replace(cfg, **overrides) if overrides else cfg
+        return cfg  # task path, no pool to divide
+    return dataclasses.replace(
+        cfg, extract_concurrency=max(1, int(ncpu * 0.75 / k))
+    )
 
 
 def run_partitioned_extraction(

@@ -3,36 +3,26 @@
 Two surfaces:
 - per-partition rates persisted in the checkpoint manifest
   (``checkpoint.run_partitioned_extraction``) — the durable lineage record;
-- in-session per-stage breakdowns parsed from ``Dataset.stats()`` — the
-  interactive tuning view this module provides.
+- in-session per-operator breakdowns read from Ray Data's structured stats
+  (``DatasetStatsSummary``) — the interactive tuning view this module
+  provides.
 """
 
 from __future__ import annotations
 
-import re
 
-_OP_RE = re.compile(
-    r"Operator (\d+) (\S+):.* in ([0-9.]+)s", re.M
-)
-_ROWS_RE = re.compile(r"Output num rows per block:.*?, (\d+) total")
-
-
-def stage_summary(stats_text: str) -> list[dict]:
-    """Parse ``Dataset.stats()`` into per-operator rows:
-    {operator, wall_s, rows, rows_per_sec}."""
+def stage_summary(summary) -> list[dict]:
+    """Per-operator rows {operator, wall_s, rows, rows_per_sec} of a
+    ``DatasetStatsSummary``, upstream operators first."""
     out = []
-    blocks = stats_text.split("Operator ")
-    for block in blocks[1:]:
-        header = block.splitlines()[0]
-        m = re.match(r"(\d+) (\S+):.* in ([0-9.]+)s", header)
-        if not m:
-            continue
-        rows_m = _ROWS_RE.search(block)
-        wall = float(m.group(3))
-        rows = int(rows_m.group(1)) if rows_m else None
+    for parent in summary.parents:
+        out += stage_summary(parent)
+    for op in summary.operators_stats:
+        wall = op.time_total_s
+        rows = (op.output_num_rows or {}).get("sum")
         out.append(
             {
-                "operator": m.group(2),
+                "operator": op.operator_name,
                 "wall_s": wall,
                 "rows": rows,
                 "rows_per_sec": round(rows / wall, 1) if rows and wall else None,
@@ -44,10 +34,21 @@ def stage_summary(stats_text: str) -> list[dict]:
 def extraction_metrics(extracted_ds) -> dict:
     """Consume-and-measure: returns total docs + per-stage breakdown for an
     (already executed) extracted Dataset. Call after a consuming op
-    (write/count/take) — stats() reflects the last execution."""
-    stats_text = extracted_ds.stats()
-    stages = stage_summary(stats_text)
-    total_rows = next(
-        (s["rows"] for s in reversed(stages) if s["rows"]), None
+    (write/count/take) — the stats reflect the last execution. ``docs`` is
+    the output of the last operator before the sink (a write emits one
+    row per task, not per document)."""
+    # a written dataset keeps its stats on the write plan, as
+    # ``Dataset.stats()`` does
+    write_ds = extracted_ds._write_ds
+    if write_ds is not None and write_ds._plan.has_computed_output():
+        extracted_ds = write_ds
+    stages = stage_summary(extracted_ds._get_stats_summary())
+    docs = next(
+        (
+            s["rows"]
+            for s in reversed(stages)
+            if s["rows"] and not s["operator"].endswith("Write")
+        ),
+        None,
     )
-    return {"stages": stages, "docs": total_rows, "raw": stats_text}
+    return {"stages": stages, "docs": docs}

@@ -562,6 +562,11 @@ def test_vp8l_lz77_runs_and_constant():
     assert (vp8l_decode(blob) == px).all()
     const = np.full((50, 40, 3), 77, np.uint8)
     assert (vp8l_decode(vp8l_encode(const)) == const).all()
+    # a run longer than one token's 4,096-pixel reach: black except for
+    # a 10-row gradient, so the black tail is one 5,600-pixel run
+    tail = np.zeros((80, 80, 3), np.uint8)
+    tail[:10] = np.arange(80, dtype=np.uint8)[None, :, None] * 3
+    assert (vp8l_decode(vp8l_encode(tail)) == tail).all()
 
 
 def test_vp8l_random_images_roundtrip():

@@ -170,6 +170,33 @@ def test_video_stage_batch(ray_session):
         assert len(r["embedding"]) == 11  # 3 channel means + 8 hist bins
 
 
+def test_video_means_skips_error_rows():
+    """An error row's null embedding must not shift the channel means of
+    the rows after it (the means are sliced from the flat value buffer)."""
+    import pyarrow as pa
+
+    from rika_ray.pipelines.multimodal import video_means
+
+    hist = [0.0] * 8
+    batch = pa.table(
+        {
+            "url": ["v://a", "v://bad", "v://c", "v://bad-last"],
+            "n_frames_sampled": pa.array([4, None, 2, None], pa.int32()),
+            "embedding": pa.array(
+                [[1.0, 2.0, 3.0] + hist, None, [4.0, 5.0, 6.0] + hist, None],
+                pa.list_(pa.float32()),
+            ),
+            "error": pa.array(
+                [None, "CodecError: bad", None, "CodecError: bad"], pa.string()
+            ),
+        }
+    )
+    assert video_means(batch).to_pylist() == [
+        {"url": "v://a", "n_sampled": 4, "mean_r": 1.0, "mean_g": 2.0, "mean_b": 3.0},
+        {"url": "v://c", "n_sampled": 2, "mean_r": 4.0, "mean_g": 5.0, "mean_b": 6.0},
+    ]
+
+
 @pytest.mark.skipif(
     not __import__("rika_ray.pipelines.multimodal", fromlist=["HAVE_PIL"]).HAVE_PIL,
     reason="PIL not installed — real-decoder branch has no codec to drive",

@@ -177,6 +177,35 @@ def test_doc_corrupt_rejected():
         extract_doc(b"not cfb at all")
 
 
+def test_doc_looping_fat_chain_is_a_fast_error_row():
+    """A FAT whose directory chain points back at itself is refused at the
+    first repeated sector: the fused kernel turns it into a parse_error
+    row at a cost bounded by the file's size."""
+    import struct
+    import time
+
+    import pyarrow as pa
+
+    from rika_ray.pipelines.extraction import FusedExtractStage
+    from rika_ray.schema import WEB_PAGES_SCHEMA
+
+    data = bytearray(docgen.build_doc(["looping directory"]))
+    # FAT sector 0 starts at 512; entry 1 is the directory sector's next
+    struct.pack_into("<I", data, 512 + 4 * 1, 1)
+    page = pa.Table.from_pylist(
+        [{"url": "loop.doc", "warc_ts": None, "html": bytes(data),
+          "text": None, "lang": None}],
+        schema=WEB_PAGES_SCHEMA,
+    )
+    kernel = FusedExtractStage()
+    t0 = time.perf_counter()
+    row = kernel(page).to_pylist()[0]
+    elapsed = time.perf_counter() - t0
+    assert row["error_type"] == "parse_error"
+    assert "FAT chain" in row["error_message"]
+    assert elapsed < 0.05, elapsed
+
+
 def test_xlsx_pptx_extraction():
     import zipfile
     from io import BytesIO

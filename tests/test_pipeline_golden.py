@@ -153,21 +153,31 @@ def test_truncation_zero_suppresses(ray_session, corpus_dir):
             assert r["content"] is None
 
 
-def test_fused_equals_staged(ray_session, corpus_dir):
-    """The fused hot path must be row-for-row identical to the staged
-    layout (same kernels, different physical plan)."""
-    from rika_ray.pipelines.extraction import ExtractionConfig, build_extraction_pipeline
+def test_pipeline_equals_kernel(extracted, corpus_dir):
+    """The pipeline's rows equal ``FusedExtractStage`` applied Ray-free to
+    the whole web_pages table in one call. The pipeline runs the kernel in
+    batches of ``ExtractionConfig().batch_size``, so this checks that a
+    row's result does not depend on the batch it lands in."""
+    import pyarrow.parquet as pq
 
-    def _run(fused: bool):
-        ds = read_web_pages(f"{corpus_dir}/web_pages.parquet")
-        out = build_extraction_pipeline(ds, ExtractionConfig(fused=fused))
-        rows = out.select_columns(
-            ["url", "content", "content_type", "media_type", "charset",
-             "language", "metadata", "error_type"]
-        ).take_all()
-        return sorted(rows, key=lambda r: (r["url"], r["content"] or ""))
+    from rika_ray.pipelines.extraction import (
+        EXTRACTION_INPUT_COLUMNS,
+        FusedExtractStage,
+    )
 
-    assert _run(True) == _run(False)
+    pages = pq.read_table(
+        f"{corpus_dir}/web_pages.parquet",
+        columns=list(EXTRACTION_INPUT_COLUMNS),
+    )
+    whole = FusedExtractStage()(pages)
+    assert whole.schema == extracted.schema
+
+    def _key(r):
+        return (r["url"], repr(r))
+
+    assert sorted(extracted.to_pylist(), key=_key) == sorted(
+        whole.to_pylist(), key=_key
+    )
 
 
 def test_custom_detector_injection(ray_session, corpus_dir):
@@ -195,9 +205,7 @@ def test_custom_detector_injection(ray_session, corpus_dir):
 
 def test_mega_doc_routing_parity(ray_session, corpus_dir):
     """route_mega_docs (block-isolation skew routing) must produce the same
-    rows as the plain layout — in BOTH the staged and the fused physical
-    plans (the round-2 layout silently disabled fusion when routing was
-    on; they now compose)."""
+    rows as the plain layout."""
     from rika_ray.pipelines.extraction import ExtractionConfig, build_extraction_pipeline
 
     def _run(**kw):
@@ -207,9 +215,7 @@ def test_mega_doc_routing_parity(ray_session, corpus_dir):
         ).take_all()
         return sorted(rows, key=lambda r: (r["url"], r["content"] or ""))
 
-    plain = _run(fused=False)
-    assert _run(route_mega_docs=True, mega_doc_bytes=1 << 20, fused=False) == plain
-    assert _run(route_mega_docs=True, mega_doc_bytes=1 << 20, fused=True) == plain
+    assert _run(route_mega_docs=True, mega_doc_bytes=1 << 20) == _run()
 
 
 def test_mega_doc_block_isolation(ray_session, corpus_dir):
