@@ -8,30 +8,30 @@ operators compose without materializing between stages:
 
 1. **Quality filter** — token count ≥ ``min_words`` (Arrow C++ tokenize,
    same normative tokenizer as ``text_analysis``).
-2. **Exact dedup** — 128-bit content key (two independent 64-bit hashes;
-   see ``dedup.dedup_exact_survivors`` for the collision math), smallest
-   doc_id survives; survivors are re-joined to their metadata with a
-   distributed hash join (both sides corpus-sized — no broadcast).
+2. **Exact dedup** — the 128-bit content key of
+   ``dedup.dedup_exact_survivors`` (``dedup.content_key``); the smallest
+   doc_id per key survives with its source, as the first row per key of
+   ``relational.first_per_key`` — no join back to the metadata.
 3. **Per-domain cap** — at most ``per_source_cap`` docs per source
-   (CCNet/Gopher-style quota), one bounded-key shuffle + vectorized
-   rank-per-partition (no per-domain groups).
+   (CCNet/Gopher-style quota), the same ``first_per_key`` as
+   ``relational.domain_cap_sample``.
 
-Scale notes: text is dropped right after hashing (stage 2 ships 16-byte
-keys); the join ships (doc_id) vs (doc_id, source) rows only; the cap's
-shuffle key is ``hash(source) % P`` so a hot domain costs one partition
-sort, never an unbounded group.
+Scale notes: text is dropped right after hashing (stages 2 and 3 move
+(doc_id, source, 16-byte key) rows); both stages shuffle on the bounded
+partition key of ``pipelines.aggregate`` (mix64(key) % P), so a hot text
+or domain costs one partition sort, never an unbounded group.
 """
 
 from __future__ import annotations
 
-import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
-from ray.data.aggregate import Min
 
 from rika_ray.functions.text import tokenize_arrow
+from rika_ray.pipelines.dedup import CONTENT_KEY, content_key
+from rika_ray.pipelines.relational import first_per_key
+from rika_ray.sources.parquet import read_parquet_clean
 
 
 def curated_docs(
@@ -39,89 +39,30 @@ def curated_docs(
     min_words: int = 50,
     per_source_cap: int = 20,
 ) -> ray.data.Dataset:
-    from rika_ray.pipelines.relational import _session_parts
-
-    from rika_ray.sources.parquet import read_parquet_clean
-
     docs = read_parquet_clean(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "source", "text"]
     )
 
-    # stage 1+2a fused in one scan: quality-filter the batch, then hash the
+    # stage 1+2a fused in one scan: quality-filter the batch, then key the
     # survivors' text and DROP it — downstream moves 16-byte keys + source
-    def _filter_hash(batch: pa.Table) -> pa.Table:
+    def _filter_key(batch: pa.Table) -> pa.Table:
         toks, _ = tokenize_arrow(batch["text"])
         n_words = pc.list_value_length(toks)
-        keep = pc.greater_equal(n_words, pa.scalar(min_words, pa.int32()))
-        batch = batch.filter(keep)
-        texts = np.asarray(batch["text"].to_pylist(), dtype=object)
-        h1 = pd.util.hash_array(texts, categorize=False)
-        h2 = pd.util.hash_array(
-            texts, categorize=False, hash_key="rika_ray_dedup_2"
+        batch = batch.filter(
+            pc.greater_equal(n_words, pa.scalar(min_words, pa.int32()))
         )
         return pa.table(
             {
                 "doc_id": batch["doc_id"],
                 "source": batch["source"],
-                "content_hash": pa.array(h1.view(np.int64), pa.int64()),
-                "content_hash2": pa.array(h2.view(np.int64), pa.int64()),
+                **content_key(batch["text"]),
             }
         )
 
-    # materialized ONCE: two downstream branches (survivor aggregation and
-    # the meta join side) consume it — unmaterialized, Ray's lazy plan
-    # would re-run the whole read+tokenize+hash scan per branch
-    hashed = docs.map_batches(
-        _filter_hash, batch_format="pyarrow", batch_size=2048
-    ).materialize()
-    n_hashed = hashed.count()
-    if n_hashed == 0:
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    "doc_id": pa.array([], pa.int64()),
-                    "source": pa.array([], pa.string()),
-                }
-            )
-        )
-
-    survivors = (
-        hashed.select_columns(["doc_id", "content_hash", "content_hash2"])
-        .groupby(["content_hash", "content_hash2"])
-        .aggregate(Min("doc_id", alias_name="doc_id"))
-        .select_columns(["doc_id"])
+    keyed = docs.map_batches(_filter_key, batch_format="pyarrow", batch_size=2048)
+    survivors = first_per_key(keyed, CONTENT_KEY, "doc_id", 1).select_columns(
+        ["doc_id", "source"]
     )
-
-    # survivors ⨝ (doc_id, source): hash join, both sides filtered-corpus-
-    # sized. The join coalesces the key pair under the LEFT name (doc_id).
-    # Partitions clamped by the known row count — unclamped
-    # max(4, cluster_cpus()) on a small filtered corpus produces empty
-    # partitions that lose schema and crash the join finalize (the
-    # neardup_clusters round-3 bug; see dedup._join_parts)
-    from rika_ray.pipelines.dedup import _join_parts
-
-    meta = hashed.select_columns(["doc_id", "source"])
-    joined = survivors.join(
-        meta, "inner", num_partitions=_join_parts(n_hashed),
-        on=("doc_id",), right_on=("doc_id",),
-    )
-
-    # stage 3: per-source cap — one bounded-key shuffle, vectorized rank
-    def _add_part(batch: pa.Table) -> pa.Table:
-        h = pd.util.hash_array(
-            batch["source"].to_numpy(zero_copy_only=False), categorize=False
-        )
-        part = (h % np.uint64(_session_parts())).astype(np.int64)
-        return batch.append_column("part", pa.array(part, pa.int64()))
-
-    def _cap_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["source", "doc_id"], kind="mergesort")
-        rank = g.groupby("source", sort=False).cumcount()
-        return g.loc[rank < per_source_cap, ["doc_id", "source"]]
-
-    return (
-        joined.map_batches(_add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(_cap_part, batch_format="pandas")
-        .sort("doc_id")
+    return first_per_key(survivors, ["source"], "doc_id", per_source_cap).sort(
+        "doc_id"
     )

@@ -40,9 +40,10 @@ import pyarrow.compute as pc
 import ray.data
 from ray.data.aggregate import Count, Max, Min
 
-from rika_ray.functions.text import tokenize
+from rika_ray.functions.text import mix64, tokenize
 from rika_ray.functions.vectors import embedding_matrix, unit_rows
-from rika_ray.pool import pool_spec
+from rika_ray.pipelines.aggregate import partitioned_aggregate
+from rika_ray.pool import join_parts, pool_spec
 
 
 def _docs(sf_dir: str, columns):
@@ -77,6 +78,26 @@ def _empty_pairs(value_col: str) -> ray.data.Dataset:
 # Exact dedup (hash-partition + per-group first)
 # ---------------------------------------------------------------------------
 
+CONTENT_KEY = ["content_hash", "content_hash2"]
+
+
+def content_key(text: pa.ChunkedArray) -> dict[str, pa.Array]:
+    """The 128-bit content key of every text, as the two ``CONTENT_KEY``
+    columns: two independent 64-bit hashes (see ``dedup_exact_survivors``
+    for the collision math)."""
+    texts = np.asarray(text.to_pylist(), dtype=object)
+    # categorize=False: the categorize path truncates at NUL bytes — texts
+    # differing only after a NUL would collide and be wrongly deduplicated.
+    # int64 BIT-VIEW of the 64-bit hashes: Ray's shuffle falls back to
+    # pickled-object extension arrays for uint64 values above the int64
+    # range (equality semantics are identical).
+    h1 = pd.util.hash_array(texts, categorize=False)
+    h2 = pd.util.hash_array(texts, categorize=False, hash_key="rika_ray_dedup_2")
+    return {
+        "content_hash": pa.array(h1.view(np.int64), pa.int64()),
+        "content_hash2": pa.array(h2.view(np.int64), pa.int64()),
+    }
+
 
 def dedup_exact_survivors(sf_dir: str) -> ray.data.Dataset:
     """Smallest doc_id per distinct text. Groups on a 128-bit content key
@@ -90,30 +111,14 @@ def dedup_exact_survivors(sf_dir: str) -> ray.data.Dataset:
     (≈10^-15 at 10^12 docs), equivalent to verifying equality within each
     64-bit group via a second independent hash."""
 
-    def _hash(batch: pa.Table) -> pa.Table:
-        texts = np.asarray(batch["text"].to_pylist(), dtype=object)
-        # categorize=False: the categorize path truncates at NUL bytes —
-        # texts differing only after a NUL would collide and be wrongly
-        # deduplicated. int64 BIT-VIEW of the 64-bit hashes: Ray's shuffle
-        # falls back to pickled-object extension arrays for uint64 values
-        # above the int64 range (equality semantics are identical).
-        h1 = pd.util.hash_array(texts, categorize=False)
-        h2 = pd.util.hash_array(
-            texts, categorize=False, hash_key="rika_ray_dedup_2"
-        )
-        return pa.table(
-            {
-                "doc_id": batch["doc_id"],
-                "content_hash": pa.array(h1.view(np.int64), pa.int64()),
-                "content_hash2": pa.array(h2.view(np.int64), pa.int64()),
-            }
-        )
+    def _keyed(batch: pa.Table) -> pa.Table:
+        return pa.table({"doc_id": batch["doc_id"], **content_key(batch["text"])})
 
+    keyed = _docs(sf_dir, ["doc_id", "text"]).map_batches(
+        _keyed, batch_format="pyarrow", batch_size=2048
+    )
     return (
-        _docs(sf_dir, ["doc_id", "text"])
-        .map_batches(_hash, batch_format="pyarrow", batch_size=2048)
-        .groupby(["content_hash", "content_hash2"])
-        .aggregate(Min("doc_id", alias_name="doc_id"))
+        partitioned_aggregate(keyed, CONTENT_KEY, [("doc_id", "min", "doc_id")])
         .select_columns(["doc_id"])
         .sort("doc_id")
     )
@@ -127,18 +132,6 @@ N_PERM = 64
 N_BANDS = 16
 ROWS_PER_BAND = N_PERM // N_BANDS
 SHINGLE_K = 3  # word shingles
-
-
-def _mix64(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer — a full-avalanche bijection of uint64
-    (wrapping numpy arithmetic)."""
-    z = z.astype(np.uint64, copy=True)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
-    return z
 
 
 def _shingle_hashes_u32(text: str) -> np.ndarray:
@@ -172,7 +165,7 @@ class _MinHasher:
 
     def signature(self, text: str) -> np.ndarray:
         x = _shingle_hashes_u32(text)[None, :]  # (1, n)
-        vals = _mix64(x ^ self.keys[:, None])  # (N_PERM, n)
+        vals = mix64(x ^ self.keys[:, None])  # (N_PERM, n)
         return vals.min(axis=1)  # (N_PERM,)
 
     def batch_signatures(self, texts: list[str]) -> np.ndarray:
@@ -203,7 +196,7 @@ class _MinHasher:
             [s for lst in shingle_lists for s in lst], dtype=object
         )
         h = pd.util.hash_array(flat) & np.uint64(0xFFFFFFFF)
-        vals = _mix64(h[None, :] ^ self.keys[:, None])  # (N_PERM, total)
+        vals = mix64(h[None, :] ^ self.keys[:, None])  # (N_PERM, total)
         offsets = np.zeros(len(counts), dtype=np.int64)
         np.cumsum(counts[:-1], out=offsets[1:])
         return np.minimum.reduceat(vals, offsets, axis=1).T  # (n, N_PERM)
@@ -262,27 +255,6 @@ def _sig_task_fn(seed: int):
 _STAGE_CACHE: dict = {}
 
 
-def _join_parts(*counts: int) -> int:
-    """Hash-join partition count clamped so the SMALLER side averages
-    ≥4096 rows per partition (floor 1, cap = cluster width). Two reasons:
-
-    - CORRECTNESS: unclamped ``max(4, cluster_cpus())`` on a tiny side
-      produces empty right-side partitions whose blocks lose their schema,
-      and Ray's hash-shuffle join finalize then dies in pyarrow with
-      ``No match … for FieldRef.Name(…)`` — reproduced at num_cpus=32
-      with a ~50-row label table (round-3 CORRECTNESS run).
-    - LATENCY: each partition is one hash-shuffle aggregator actor;
-      measured fixed cost is ~0.4-0.6 s of startup going 4 → 32 actors on
-      result-sized inputs where parallelism buys nothing.
-
-    At cluster scale every real input exceeds 4096 × cluster width, so the
-    clamp vanishes there. Callers pass known (materialized) row counts."""
-    from rika_ray.pool import cluster_cpus
-
-    n = min(counts)
-    return max(1, min(max(4, cluster_cpus()), (n + 4095) // 4096))
-
-
 def minhash_lsh_pairs(
     sf_dir: str,
     threshold: float = 0.5,
@@ -322,7 +294,7 @@ def minhash_lsh_pairs(
        (and collapses duplicate discoveries from different bands); the
        est compare is a 64-lane numpy op per pair, result-bounded.
 
-    Join partition counts are clamped via ``_join_parts`` (empty-
+    Join partition counts are clamped via ``pool.join_parts`` (empty-
     partition schema loss, see there)."""
     import ray
 
@@ -348,9 +320,9 @@ def minhash_lsh_pairs(
         s = _unpack_sigs(batch["sig"]).T  # (N_PERM, n)
         n = s.shape[1]
         chunks = s.reshape(N_BANDS, ROWS_PER_BAND, -1)
-        out = _mix64(chunks[:, 0, :] ^ band_salt[:, None])
+        out = mix64(chunks[:, 0, :] ^ band_salt[:, None])
         for r in range(1, ROWS_PER_BAND):
-            out = _mix64(out ^ chunks[:, r, :])
+            out = mix64(out ^ chunks[:, r, :])
         doc_id = batch["doc_id"].to_numpy(zero_copy_only=False)
         return pa.table(
             {
@@ -375,7 +347,7 @@ def minhash_lsh_pairs(
     co = band_rows.join(
         band_rows,
         "inner",
-        num_partitions=_join_parts(n_docs * N_BANDS),
+        num_partitions=join_parts(n_docs * N_BANDS),
         on=("band", "band_hash"),
         right_on=("band", "band_hash"),
         right_suffix="_b",
@@ -402,7 +374,7 @@ def minhash_lsh_pairs(
     attached = sides.join(
         sigs,
         "inner",
-        num_partitions=_join_parts(n_sides, n_docs),
+        num_partitions=join_parts(n_sides, n_docs),
         on=("jkey",),
         right_on=("doc_id",),
     )
@@ -535,14 +507,14 @@ def verify_jaccard_pairs(
     with_a = cand.join(
         blobs,
         "inner",
-        num_partitions=_join_parts(n_pairs, n_docs),
+        num_partitions=join_parts(n_pairs, n_docs),
         on=("doc_a",),
         right_on=("doc_id",),
     ).map_batches(_name_blob("sh_a"), batch_format="pyarrow")
     with_ab = with_a.join(
         blobs,
         "inner",
-        num_partitions=_join_parts(n_pairs, n_docs),
+        num_partitions=join_parts(n_pairs, n_docs),
         on=("doc_b",),
         right_on=("doc_id",),
     ).map_batches(_name_blob("sh_b"), batch_format="pyarrow")
@@ -833,7 +805,7 @@ def simhash_neardup_pairs(
     co = band_rows.join(
         band_rows,
         "inner",
-        num_partitions=_join_parts(n_docs * SIMHASH_BANDS),
+        num_partitions=join_parts(n_docs * SIMHASH_BANDS),
         on=("band", "band_val"),
         right_on=("band", "band_val"),
         right_suffix="_b",
@@ -1146,7 +1118,7 @@ def neardup_clusters(
     # clamped: unclamped max(4, cluster_cpus()) on the ~result-sized label
     # table produced empty right-side partitions that lose their schema and
     # crash the join finalize at num_cpus=32 (round-3 CORRECTNESS error)
-    nparts = _join_parts(n_labels)
+    nparts = join_parts(n_labels)
     prev_sum = labels.sum("label")
     for _ in range(max_rounds):
         prop = edges.join(

@@ -33,8 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data
 
+from rika_ray.pipelines.aggregate import partitioned_aggregate
 from rika_ray.stages.extract import ExtractStage
 from rika_ray.stages.finalize import finalize_batch
 from rika_ray.stages.lang import LangDetectStage
@@ -173,58 +175,45 @@ def build_extraction_pipeline(
 _NULL_KEY = "\x00<null>"
 
 
-def _tally_by(
-    ds: ray.data.Dataset, key: str, sort: bool = False
-) -> ray.data.Dataset:
-    """Null-safe tally: nulls are sentinel-mapped (Ray's sort-based groupby
-    comparator chokes on None-vs-str keys), counts are pre-aggregated per
-    batch (value_counts) so the shuffle moves (key, partial-count) rows,
-    not the corpus."""
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
+def _sort_nulls_first(ds: ray.data.Dataset, key: str) -> ray.data.Dataset:
+    """``ds.sort(key)`` with null keys first. Ray's sort compares None with
+    str and fails, so it sorts while nulls carry a sentinel that sorts
+    before every string."""
 
-    def _partial(batch: pa.Table) -> pa.Table:
-        filled = pc.fill_null(batch[key].combine_chunks(), _NULL_KEY)
-        vc = filled.value_counts()
-        return pa.table(
-            {
-                key: vc.field("values"),
-                "cnt": vc.field("counts").cast(pa.int64()),
-            }
+    def _swap(batch: pa.Table, old, new) -> pa.Table:
+        col = batch[key]
+        match = pc.is_null(col) if old is None else pc.equal(col, old)
+        return batch.set_column(
+            batch.schema.get_field_index(key),
+            key,
+            pc.if_else(match, pa.scalar(new, pa.string()), col),
         )
 
-    def _unsentinel(batch: pa.Table) -> pa.Table:
-        col = pc.if_else(
-            pc.equal(batch[key], _NULL_KEY),
-            pa.scalar(None, pa.string()),
-            batch[key],
-        )
-        return pa.table({key: col, "count()": batch["count()"]})
-
-    out = (
-        ds.map_batches(_partial, batch_format="pyarrow")
-        .groupby(key)
-        .aggregate(Sum("cnt", alias_name="count()"))
+    return (
+        ds.map_batches(_swap, fn_args=(None, _NULL_KEY), batch_format="pyarrow")
+        .sort(key)
+        .map_batches(_swap, fn_args=(_NULL_KEY, None), batch_format="pyarrow")
     )
-    if sort:
-        # sort happens while keys still carry the sentinel (sorting a
-        # nullable string column crashes Ray's comparator on None-vs-str)
-        out = out.sort(key)
-    return out.map_batches(_unsentinel, batch_format="pyarrow")
 
 
 def error_tally(extracted: ray.data.Dataset) -> ray.data.Dataset:
     """A1: per-error-type counts (drives job exit status, §2.8; reference
     accumulates bad_targets and exits 1 iff any,
     ``lib/rika/cli/rika_command.rb:94-123``)."""
-    return _tally_by(
-        extracted.select_columns(["error_type"]), "error_type", sort=True
+    counts = partitioned_aggregate(
+        extracted.select_columns(["error_type"]),
+        ["error_type"],
+        [(None, "count", "count()")],
     )
+    return _sort_nulls_first(counts, "error_type")
 
 
 def media_type_tally(extracted: ray.data.Dataset) -> ray.data.Dataset:
     """A2: content-type distribution sorted by type (the README's flagship
     machine-readable example, ``/root/reference/README.md:233-249``)."""
-    return _tally_by(
-        extracted.select_columns(["media_type"]), "media_type", sort=True
+    counts = partitioned_aggregate(
+        extracted.select_columns(["media_type"]),
+        ["media_type"],
+        [(None, "count", "count()")],
     )
+    return _sort_nulls_first(counts, "media_type")

@@ -4,15 +4,18 @@ A1-A3, O2-O6, M12-M14 analogues) — each with an exact DuckDB-SQL oracle in
 
 Scale notes baked into every implementation:
 - reads prune columns (``read_parquet(columns=[...])``),
-- high-cardinality aggregations pre-aggregate inside ``map_batches``
-  (partial combine) before the hash-shuffle ``groupby``,
+- every grouped aggregate, tally and per-key window runs on the one
+  bounded-partition operator of ``pipelines.aggregate``: an Arrow partial
+  per block, one shuffle on ``mix64(key) % P`` with P set by the cluster,
+  then one vectorized Arrow combine per block of whole partitions, so the
+  shuffle's cost does not follow the key cardinality (Ray's own
+  ``groupby(key)`` made ``top_parts_by_quantity`` over 150k lineitem rows
+  and 5k part keys take ~1.9 s at 1 CPU; here it takes ~0.35 s),
 - small-side joins broadcast via ``ray.put`` + per-batch lookup instead of
   an all-to-all shuffle join.
 """
 
 from __future__ import annotations
-
-from collections import Counter
 
 import numpy as np
 import pandas as pd
@@ -20,10 +23,10 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data
-from ray.data.aggregate import Count, Max, Min, Sum
 
-from rika_ray.functions.text import tokenize, tokenize_arrow
-from rika_ray.pool import pool_spec
+from rika_ray.functions.text import tokenize_arrow
+from rika_ray.pipelines.aggregate import partitioned_aggregate, partitioned_map
+from rika_ray.pool import join_parts, pool_spec
 
 
 def _rp(sf_dir: str, table: str, columns: list[str] | None = None):
@@ -36,66 +39,40 @@ def _rp(sf_dir: str, table: str, columns: list[str] | None = None):
 # Tallies (A1/A2 analogues: low-cardinality groupby)
 # ---------------------------------------------------------------------------
 
-def _counted_tally(ds, key: str, alias: str = "n"):
-    """Low-cardinality tally with in-batch partial counts (value_counts in
-    C++), so the groupby shuffle moves (key, partial) rows only."""
-
-    def _partial(batch: pa.Table) -> pa.Table:
-        vc = batch[key].combine_chunks().value_counts()
-        return pa.table(
-            {key: vc.field("values"), alias: vc.field("counts").cast(pa.int64())}
-        )
-
-    return (
-        ds.map_batches(_partial, batch_format="pyarrow", batch_size=65536)
-        .groupby(key)
-        .aggregate(Sum(alias, alias_name=alias))
-    )
-
+_COUNT_STAR = (None, "count", "n")  # COUNT(*) AS n
 
 
 def source_tally(sf_dir: str) -> ray.data.Dataset:
     """Documents per source — the content-type-tally shape of
     /root/reference/README.md:233-249 over the documents table."""
-    return _counted_tally(_rp(sf_dir, "documents", ["source"]), "source").sort(
-        "source"
-    )
+    return partitioned_aggregate(
+        _rp(sf_dir, "documents", ["source"]), ["source"], [_COUNT_STAR]
+    ).sort("source")
 
 
 def lang_claim_tally(sf_dir: str) -> ray.data.Dataset:
-    return _counted_tally(_rp(sf_dir, "documents", ["lang"]), "lang").sort(
-        "lang"
-    )
+    return partitioned_aggregate(
+        _rp(sf_dir, "documents", ["lang"]), ["lang"], [_COUNT_STAR]
+    ).sort("lang")
 
 
 # ---------------------------------------------------------------------------
-# Top-k words (A3, /root/reference/README.md:268-287) — partial aggregation
-# inside map_batches, then a small shuffle over (word, partial-count) rows.
+# Top-k words (A3, the top-words example of the reference README)
 # ---------------------------------------------------------------------------
 
 
 def top_words(sf_dir: str, k: int = 5) -> ray.data.Dataset:
-    def _partial_counts(batch: pa.Table) -> pa.Table:
-        # in-batch partial count entirely in Arrow C++: tokenize → flatten
-        # → value_counts; the shuffle then moves (word, partial) rows
+    def _words(batch: pa.Table) -> pa.Table:
+        # tokenize → flatten in Arrow C++: one row per non-empty token
         toks, _ = tokenize_arrow(batch["text"])
         flat = pc.list_flatten(toks)
-        flat = flat.filter(pc.not_equal(flat, ""))
-        vc = flat.value_counts()
-        return pa.table(
-            {
-                "word": vc.field("values"),
-                "cnt": vc.field("counts").cast(pa.int64()),
-            }
-        )
+        return pa.table({"word": flat.filter(pc.not_equal(flat, ""))})
 
-    return (
-        _rp(sf_dir, "documents", ["text"])
-        .map_batches(_partial_counts, batch_format="pyarrow", batch_size=1024)
-        .groupby("word")
-        .aggregate(Sum("cnt", alias_name="cnt"))
-        .sort([("cnt"), ("word")], descending=[True, False])
-        .limit(k)
+    words = _rp(sf_dir, "documents", ["text"]).map_batches(
+        _words, batch_format="pyarrow", batch_size=1024
+    )
+    return partitioned_aggregate(
+        words, ["word"], [(None, "count", "cnt")], top=("cnt", k)
     )
 
 
@@ -130,48 +107,36 @@ def lineitem_filter_project(sf_dir: str, min_qty: float = 45.0) -> ray.data.Data
 # ---------------------------------------------------------------------------
 
 
+def _disc_price(batch: pa.Table) -> pa.Array:
+    """``l_extendedprice * (1 - l_discount)``, the revenue of a line."""
+    return pc.multiply(
+        batch["l_extendedprice"], pc.subtract(pa.scalar(1.0), batch["l_discount"])
+    )
+
+
 def pricing_summary(sf_dir: str) -> ray.data.Dataset:
     """Pricing summary per (returnflag, linestatus): the canonical wide
     aggregate. Derived column computed vectorized per batch; doubles rounded
     to 2dp in both engines so the value-hash is stable across summation
     order."""
 
-    def _partial(batch: pa.Table) -> pa.Table:
-        # in-batch partial aggregation (pyarrow C++ hash agg) — the shuffle
-        # then moves ~6 rows per batch instead of the whole table
-        disc_price = pc.multiply(
-            batch["l_extendedprice"], pc.subtract(pa.scalar(1.0), batch["l_discount"])
-        )
-        batch = batch.append_column("disc_price", disc_price)
-        g = batch.group_by(["l_returnflag", "l_linestatus"]).aggregate(
-            [("l_quantity", "sum"), ("disc_price", "sum"), ("l_quantity", "count")]
-        )
-        # rename by NAME (pyarrow's "<col>_<agg>" outputs), not position —
-        # key-vs-aggregate column ordering is pyarrow-version-dependent
-        return pa.table(
-            {
-                "l_returnflag": g["l_returnflag"],
-                "l_linestatus": g["l_linestatus"],
-                "sum_qty": g["l_quantity_sum"],
-                "sum_disc_price": g["disc_price_sum"],
-                "count_order": g["l_quantity_count"],
-            }
-        )
+    def _priced(batch: pa.Table) -> pa.Table:
+        return batch.append_column("disc_price", _disc_price(batch))
 
-    ds = (
-        _rp(
-            sf_dir,
-            "lineitem",
-            ["l_returnflag", "l_linestatus", "l_quantity",
-             "l_extendedprice", "l_discount"],
-        )
-        .map_batches(_partial, batch_format="pyarrow", batch_size=65536)
-        .groupby(["l_returnflag", "l_linestatus"])
-        .aggregate(
-            Sum("sum_qty", alias_name="sum_qty"),
-            Sum("sum_disc_price", alias_name="sum_disc_price"),
-            Sum("count_order", alias_name="count_order"),
-        )
+    lines = _rp(
+        sf_dir,
+        "lineitem",
+        ["l_returnflag", "l_linestatus", "l_quantity",
+         "l_extendedprice", "l_discount"],
+    ).map_batches(_priced, batch_format="pyarrow", batch_size=65536)
+    ds = partitioned_aggregate(
+        lines,
+        ["l_returnflag", "l_linestatus"],
+        [
+            ("l_quantity", "sum", "sum_qty"),
+            ("disc_price", "sum", "sum_disc_price"),
+            ("l_quantity", "count", "count_order"),
+        ],
     )
 
     def _round(batch: pa.Table) -> pa.Table:
@@ -191,8 +156,8 @@ def pricing_summary(sf_dir: str) -> ray.data.Dataset:
 
 
 def orders_priority_tally(sf_dir: str) -> ray.data.Dataset:
-    return _counted_tally(
-        _rp(sf_dir, "orders", ["o_orderpriority"]), "o_orderpriority"
+    return partitioned_aggregate(
+        _rp(sf_dir, "orders", ["o_orderpriority"]), ["o_orderpriority"], [_COUNT_STAR]
     ).sort("o_orderpriority")
 
 
@@ -215,21 +180,16 @@ def orders_per_segment(sf_dir: str) -> ray.data.Dataset:
             self.lookup = ray.get(lookup_ref)
 
         def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            # lookup + in-batch partial count: the shuffle moves ~5 rows
-            # per batch, not one row per order
-            seg = batch["o_custkey"].map(self.lookup)
-            vc = seg.value_counts()
-            return pd.DataFrame(
-                {"c_mktsegment": vc.index, "n": vc.to_numpy()}
-            )
+            # inner join: an order without a customer drops out
+            seg = batch["o_custkey"].map(self.lookup).dropna()
+            return pd.DataFrame({"c_mktsegment": seg})
 
-    return (
-        _rp(sf_dir, "orders", ["o_custkey"])
-        .map_batches(SegmentJoin, batch_format="pandas", batch_size=65536,
-                     concurrency=pool_spec(), num_cpus=0.5)
-        .groupby("c_mktsegment")
-        .aggregate(Sum("n", alias_name="n"))
-        .sort("c_mktsegment")
+    segments = _rp(sf_dir, "orders", ["o_custkey"]).map_batches(
+        SegmentJoin, batch_format="pandas", batch_size=65536,
+        concurrency=pool_spec(), num_cpus=0.5,
+    )
+    return partitioned_aggregate(segments, ["c_mktsegment"], [_COUNT_STAR]).sort(
+        "c_mktsegment"
     )
 
 
@@ -238,8 +198,8 @@ def supplier_revenue_by_nation(sf_dir: str) -> ray.data.Dataset:
 
     Scale shape: the two small sides (supplier keys → nation name) are
     composed driver-side into ONE broadcast dict shipped via ``ray.put``;
-    each lineitem batch then does lookup + in-batch partial sum, so the
-    shuffle moves ~25 (nation, partial) rows per batch, never lineitem
+    each lineitem batch is looked up, and the partial sums per batch mean
+    the shuffle moves ~25 (nation, partial) rows per batch, never lineitem
     rows. Partitioning assumption: the supplier→nation map fits worker
     memory (supplier is ~1/600 of lineitem rows and 2 ints wide; beyond
     that, swap the broadcast for a key-bucketed shuffle join). Doubles are
@@ -262,18 +222,16 @@ def supplier_revenue_by_nation(sf_dir: str) -> ray.data.Dataset:
                 1.0 - batch["l_discount"].to_numpy()
             )
             nname = batch["l_suppkey"].map(self.lookup)
-            g = pd.DataFrame({"n_name": nname, "revenue": revenue}).groupby(
-                "n_name", as_index=False, sort=False
-            )["revenue"].sum()
-            return g
+            # inner join: a line without a supplier drops out
+            return pd.DataFrame({"n_name": nname, "revenue": revenue}).dropna(
+                subset=["n_name"]
+            )
 
-    ds = (
-        _rp(sf_dir, "lineitem", ["l_suppkey", "l_extendedprice", "l_discount"])
-        .map_batches(NationRevenue, batch_format="pandas", batch_size=65536,
-                     concurrency=pool_spec(), num_cpus=0.5)
-        .groupby("n_name")
-        .aggregate(Sum("revenue", alias_name="revenue"))
-    )
+    lines = _rp(
+        sf_dir, "lineitem", ["l_suppkey", "l_extendedprice", "l_discount"]
+    ).map_batches(NationRevenue, batch_format="pandas", batch_size=65536,
+                  concurrency=pool_spec(), num_cpus=0.5)
+    ds = partitioned_aggregate(lines, ["n_name"], [("revenue", "sum", "revenue")])
 
     def _round(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -288,23 +246,15 @@ def supplier_revenue_by_nation(sf_dir: str) -> ray.data.Dataset:
 
 def top_parts_by_quantity(sf_dir: str, k: int = 10) -> ray.data.Dataset:
     """Top-k parts by total shipped quantity: a HIGH-cardinality groupby
-    (one group per partkey) with in-batch partial sums, then the top-k
-    taken with a deterministic (qty DESC, partkey ASC) tie-break — the
-    heavy-groupby + topk pattern (A3/O3 over a wide key space)."""
-
-    def _partial(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(["l_partkey"]).aggregate([("l_quantity", "sum")])
-        return pa.table(
-            {"l_partkey": g["l_partkey"], "qty": g["l_quantity_sum"]}
-        )
-
-    return (
-        _rp(sf_dir, "lineitem", ["l_partkey", "l_quantity"])
-        .map_batches(_partial, batch_format="pyarrow", batch_size=65536)
-        .groupby("l_partkey")
-        .aggregate(Sum("qty", alias_name="qty"))
-        .sort([("qty"), ("l_partkey")], descending=[True, False])
-        .limit(k)
+    (one group per partkey), then the top-k taken with a deterministic
+    (qty DESC, partkey ASC) tie-break — the heavy-groupby + topk pattern
+    (A3/O3 over a wide key space). Each partition keeps its own k best, so
+    the final sort merges at most P × k rows."""
+    return partitioned_aggregate(
+        _rp(sf_dir, "lineitem", ["l_partkey", "l_quantity"]),
+        ["l_partkey"],
+        [("l_quantity", "sum", "qty")],
+        top=("qty", k),
     )
 
 
@@ -379,18 +329,15 @@ def customers_per_region(sf_dir: str) -> ray.data.Dataset:
             self.lookup = ray.get(lookup_ref)
 
         def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
+            # inner join: a customer without a nation drops out
             return pd.DataFrame(
-                {"r_name": batch["c_nationkey"].map(self.lookup)}
+                {"r_name": batch["c_nationkey"].map(self.lookup).dropna()}
             )
 
-    return (
-        _rp(sf_dir, "customer", ["c_nationkey"])
-        .map_batches(RegionJoin, batch_format="pandas",
-                     concurrency=pool_spec(), num_cpus=0.5)
-        .groupby("r_name")
-        .aggregate(Count(alias_name="n"))
-        .sort("r_name")
+    regions = _rp(sf_dir, "customer", ["c_nationkey"]).map_batches(
+        RegionJoin, batch_format="pandas", concurrency=pool_spec(), num_cpus=0.5
     )
+    return partitioned_aggregate(regions, ["r_name"], [_COUNT_STAR]).sort("r_name")
 
 
 def shipping_priority(
@@ -408,14 +355,12 @@ def shipping_priority(
     joins, same shape as ``returned_items``. The segment filter prunes the
     customer side in a vectorized batch pass straight off the read; the
     date-filtered orders join the segment keys; lineitem is shipdate-
-    filtered and pre-aggregated to one partial row per (batch, orderkey)
-    BEFORE its join, so the wide shuffle moves partials, never lineitem
-    rows. Nothing table-sized touches the driver. Join partition counts
-    clamp by the slim side's materialized count (tiny segment slices on a
-    many-CPU cluster otherwise hit the empty-partition schema-loss crash —
-    see dedup._join_parts)."""
-    from rika_ray.pipelines.dedup import _join_parts
-
+    filtered and aggregated to one row per orderkey BEFORE its join, so
+    the join moves per-order revenue, never lineitem rows. Nothing
+    table-sized is collected into the calling process. Join partition
+    counts clamp by the slim side's materialized count (tiny segment
+    slices on a many-CPU cluster otherwise hit the empty-partition
+    schema-loss crash — see ``pool.join_parts``)."""
     cutoff_ts = pd.Timestamp(cutoff)
 
     def _seg_keys(batch: pa.Table) -> pa.Table:
@@ -449,7 +394,7 @@ def shipping_priority(
 
     qual = (
         orders.join(
-            cust, "inner", num_partitions=_join_parts(n_cust),
+            cust, "inner", num_partitions=join_parts(n_cust),
             on=("o_custkey",), right_on=("c_custkey",),
         )
         .select_columns(["o_orderkey", "o_orderdate"])
@@ -467,32 +412,23 @@ def shipping_priority(
             )
         )
 
-    def _rev_partial(batch: pa.Table) -> pa.Table:
-        keep = pc.greater(batch["l_shipdate"], pa.scalar(cutoff_ts))
-        batch = batch.filter(keep)
-        rev = pc.multiply(
-            batch["l_extendedprice"],
-            pc.subtract(pa.scalar(1.0), batch["l_discount"]),
-        )
-        t = pa.table({"l_orderkey": batch["l_orderkey"], "rev": rev})
-        g = t.group_by(["l_orderkey"]).aggregate([("rev", "sum")])
+    def _shipped(batch: pa.Table) -> pa.Table:
+        batch = batch.filter(pc.greater(batch["l_shipdate"], pa.scalar(cutoff_ts)))
         return pa.table(
-            {"l_orderkey": g["l_orderkey"], "revenue": g["rev_sum"]}
+            {"l_orderkey": batch["l_orderkey"], "revenue": _disc_price(batch)}
         )
 
-    agg = (
-        _rp(
-            sf_dir,
-            "lineitem",
-            ["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"],
-        )
-        .map_batches(_rev_partial, batch_format="pyarrow", batch_size=65536)
-        .groupby("l_orderkey")
-        .aggregate(Sum("revenue", alias_name="revenue"))
+    lines = _rp(
+        sf_dir,
+        "lineitem",
+        ["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"],
+    ).map_batches(_shipped, batch_format="pyarrow", batch_size=65536)
+    agg = partitioned_aggregate(
+        lines, ["l_orderkey"], [("revenue", "sum", "revenue")]
     )
 
     joined = agg.join(
-        qual, "inner", num_partitions=_join_parts(n_qual),
+        qual, "inner", num_partitions=join_parts(n_qual),
         on=("l_orderkey",), right_on=("o_orderkey",),
     )
 
@@ -514,23 +450,14 @@ def shipping_priority(
 
 def events_distinct_users(sf_dir: str) -> ray.data.Dataset:
     """COUNT(DISTINCT user_id) per event_type — the canonical distributed
-    distinct-aggregate: in-batch pair dedupe (cheap, bounds the shuffle) →
-    hash-shuffle dedupe on the (event_type, user_id) pair → count per
-    event_type (pair-count-sized input, trivially small)."""
-
-    def _pairs(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(["event_type", "user_id"]).aggregate([])
-        return g
-
-    return (
-        _rp(sf_dir, "events", ["event_type", "user_id"])
-        .map_batches(_pairs, batch_format="pyarrow", batch_size=65536)
-        .groupby(["event_type", "user_id"])
-        .aggregate(Count(alias_name="_c"))
-        .groupby("event_type")
-        .aggregate(Count(alias_name="n_users"))
-        .sort("event_type")
-    )
+    distinct-aggregate: in-batch pair dedupe (cheap, bounds the shuffle),
+    then every distinct (event_type, user_id) pair of one event_type meets
+    in one partition and is counted there."""
+    return partitioned_aggregate(
+        _rp(sf_dir, "events", ["event_type", "user_id"]),
+        ["event_type"],
+        [("user_id", "count_distinct", "n_users")],
+    ).sort("event_type")
 
 
 # ---------------------------------------------------------------------------
@@ -539,31 +466,22 @@ def events_distinct_users(sf_dir: str) -> ray.data.Dataset:
 # ---------------------------------------------------------------------------
 
 
-def events_hourly(sf_dir: str) -> ray.data.Dataset:
-    def _partial(batch: pa.Table) -> pa.Table:
-        batch = batch.append_column(
-            "window_start", pc.floor_temporal(batch["ts"], unit="hour")
-        )
-        g = batch.group_by(["window_start", "event_type"]).aggregate(
-            [("value", "count"), ("value", "sum")]
-        )
-        # rename by name, not position (see pricing_summary)
-        return pa.table(
-            {
-                "window_start": g["window_start"],
-                "event_type": g["event_type"],
-                "n": g["value_count"],
-                "sum_value": g["value_sum"],
-            }
-        )
+def _hour(ts) -> pa.Array:
+    """``date_trunc('hour', ts)`` as timestamp[us], the oracle's type."""
+    return pc.cast(pc.floor_temporal(ts, unit="hour"), pa.timestamp("us"))
 
-    ds = (
-        _rp(sf_dir, "events", ["ts", "event_type", "value"])
-        .map_batches(_partial, batch_format="pyarrow", batch_size=65536)
-        .groupby(["window_start", "event_type"])
-        .aggregate(
-            Sum("n", alias_name="n"), Sum("sum_value", alias_name="sum_value")
-        )
+
+def events_hourly(sf_dir: str) -> ray.data.Dataset:
+    def _windowed(batch: pa.Table) -> pa.Table:
+        return batch.append_column("window_start", _hour(batch["ts"]))
+
+    events = _rp(sf_dir, "events", ["ts", "event_type", "value"]).map_batches(
+        _windowed, batch_format="pyarrow", batch_size=65536
+    )
+    ds = partitioned_aggregate(
+        events,
+        ["window_start", "event_type"],
+        [("value", "count", "n"), ("value", "sum", "sum_value")],
     )
 
     def _round(batch: pa.Table) -> pa.Table:
@@ -577,17 +495,10 @@ def events_hourly(sf_dir: str) -> ray.data.Dataset:
             pc.round(pc.multiply(batch["sum_value"], pa.scalar(100.0)), 0),
             pa.int64(),
         )
-        batch = batch.set_column(
+        return batch.set_column(
             batch.schema.get_field_index("sum_value"),
             "sum_value",
             pc.divide(pc.cast(cents, pa.float64()), pa.scalar(100.0)),
-        )
-        # floor_temporal narrows to timestamp[s]; the oracle (and the input
-        # ts column) are timestamp[us] — match widths for the driver hash
-        return batch.set_column(
-            batch.schema.get_field_index("window_start"),
-            "window_start",
-            pc.cast(batch["window_start"], pa.timestamp("us")),
         )
 
     return ds.map_batches(_round, batch_format="pyarrow").sort(
@@ -610,23 +521,15 @@ def events_sliding(sf_dir: str, window_hours: int = 3) -> ray.data.Dataset:
     never event rows — so corpus size only affects the streaming scan."""
     us = 3_600_000_000  # one hour in microseconds
 
-    def _partial(batch: pa.Table) -> pa.Table:
-        batch = batch.append_column(
-            "hour", pc.floor_temporal(batch["ts"], unit="hour")
-        )
-        g = batch.group_by(["hour"]).aggregate([("ts", "count")])
-        return pa.table(
-            {
-                "hour": pc.cast(g["hour"], pa.timestamp("us")),
-                "n": pc.cast(g["ts_count"], pa.int64()),
-            }
-        )
+    def _hourly(batch: pa.Table) -> pa.Table:
+        return pa.table({"hour": _hour(batch["ts"])})
 
-    hours = (
-        _rp(sf_dir, "events", ["ts"])
-        .map_batches(_partial, batch_format="pyarrow", batch_size=65536)
-        .groupby("hour")
-        .aggregate(Sum("n", alias_name="n"))
+    hours = partitioned_aggregate(
+        _rp(sf_dir, "events", ["ts"]).map_batches(
+            _hourly, batch_format="pyarrow", batch_size=65536
+        ),
+        ["hour"],
+        [_COUNT_STAR],
     )
 
     def _explode(batch: pa.Table) -> pa.Table:
@@ -636,8 +539,7 @@ def events_sliding(sf_dir: str, window_hours: int = 3) -> ray.data.Dataset:
                 pa.table(
                     {
                         "window_start": pc.subtract(
-                            pc.cast(batch["hour"], pa.timestamp("us")),
-                            pa.scalar(k * us, pa.duration("us")),
+                            batch["hour"], pa.scalar(k * us, pa.duration("us"))
                         ),
                         "n": batch["n"],
                     }
@@ -645,59 +547,26 @@ def events_sliding(sf_dir: str, window_hours: int = 3) -> ray.data.Dataset:
             )
         return pa.concat_tables(parts)
 
-    def _widen(batch: pa.Table) -> pa.Table:
-        # the shuffle re-narrows the key to timestamp[s]; the oracle (and
-        # the input ts column) are timestamp[us] — match widths for the
-        # driver hash (same fix as events_hourly)
-        return batch.set_column(
-            batch.schema.get_field_index("window_start"),
-            "window_start",
-            pc.cast(batch["window_start"], pa.timestamp("us")),
-        )
-
-    return (
-        hours.map_batches(_explode, batch_format="pyarrow")
-        .groupby("window_start")
-        .aggregate(Sum("n", alias_name="n_events"))
-        .map_batches(_widen, batch_format="pyarrow")
-        .sort("window_start")
-    )
+    return partitioned_aggregate(
+        hours.map_batches(_explode, batch_format="pyarrow"),
+        ["window_start"],
+        [("n", "sum", "n_events")],
+    ).sort("window_start")
 
 
 # ---------------------------------------------------------------------------
 # Stream-shaped custom operators (SURVEY.md "Custom operators"): session
 # windows + as-of join via BATCHED sort-within-partition windowing — one
-# hash-shuffle on a bounded partition key (hash(user_id) % P), then ONE
-# vectorized pandas pass per partition. No per-user Python: the round-2
-# layout ran a Python fn per user group, paying Ray's per-group dispatch ×
-# millions of users; here group count is P (a few × pool width) and every
-# kernel inside (sort, cumsum sessionization, groupby agg, merge_asof
-# by=user_id) is a C-speed multi-user operation. Partitioning assumption:
-# one PARTITION (corpus/P, P tunable) fits a worker's heap — a hot user no
-# longer needs its own group, just its partition.
+# shuffle on the bounded partition key (``aggregate.partitioned_map``:
+# mix64(user_id) % P), then ONE vectorized pandas pass per partition. No
+# per-user Python: the round-2 layout ran a Python fn per user group,
+# paying Ray's per-group dispatch × millions of users; here group count is
+# P (a few × pool width) and every kernel inside (sort, cumsum
+# sessionization, groupby agg, merge_asof by=user_id) is a C-speed
+# multi-user operation. Partitioning assumption: one PARTITION (corpus/P)
+# fits a worker's heap — a hot user no longer needs its own group, just
+# its partition.
 # ---------------------------------------------------------------------------
-
-
-def _with_user_part(ds: ray.data.Dataset, n_parts: int) -> ray.data.Dataset:
-    """Append a bounded partition key hash(user_id) % n_parts (mix64 so
-    sequential ids spread; int64 for Ray's shuffle)."""
-    from rika_ray.functions.text import mix64
-
-    def _add_part(batch: pa.Table) -> pa.Table:
-        keys = batch["user_id"].to_numpy(zero_copy_only=False).astype(
-            np.uint64
-        )
-        part = (mix64(keys) % np.uint64(n_parts)).astype(np.int64)
-        return batch.append_column("part", pa.array(part, pa.int64()))
-
-    return ds.map_batches(_add_part, batch_format="pyarrow")
-
-
-def _session_parts() -> int:
-    # a few groups per pool slot: enough parallelism for the windowing
-    # stage without per-group overhead mattering; at cluster scale raise
-    # with the node count (pool_spec cap already tracks cluster CPUs)
-    return max(8, pool_spec()[1] * 4)
 
 
 def user_sessions(sf_dir: str, gap_minutes: int = 30) -> ray.data.Dataset:
@@ -728,15 +597,11 @@ def user_sessions(sf_dir: str, gap_minutes: int = 30) -> ray.data.Dataset:
         out["sum_value"] = out["sum_value"].round(2)
         return out[["user_id", "session_start", "n", "sum_value"]]
 
-    return (
-        _with_user_part(
-            _rp(sf_dir, "events", ["user_id", "ts", "value"]),
-            _session_parts(),
-        )
-        .groupby("part")
-        .map_groups(_sessions_part, batch_format="pandas")
-        .sort(["user_id", "session_start"])
-    )
+    return partitioned_map(
+        _rp(sf_dir, "events", ["user_id", "ts", "value"]),
+        ["user_id"],
+        _sessions_part,
+    ).sort(["user_id", "session_start"])
 
 
 def purchase_last_click(sf_dir: str) -> ray.data.Dataset:
@@ -769,15 +634,11 @@ def purchase_last_click(sf_dir: str) -> ray.data.Dataset:
         )
         return merged[["event_id", "last_click_ts"]]
 
-    return (
-        _with_user_part(
-            _rp(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"]),
-            _session_parts(),
-        )
-        .groupby("part")
-        .map_groups(_asof_part, batch_format="pandas")
-        .sort("event_id")
-    )
+    return partitioned_map(
+        _rp(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"]),
+        ["user_id"],
+        _asof_part,
+    ).sort("event_id")
 
 
 # ---------------------------------------------------------------------------
@@ -797,8 +658,9 @@ def dedup_exact(sf_dir: str) -> ray.data.Dataset:
 
 def distinct_langs(sf_dir: str) -> ray.data.Dataset:
     """O6-ish set op: distinct claimed language codes."""
-    ds = _counted_tally(_rp(sf_dir, "documents", ["lang"]), "lang")
-    return ds.select_columns(["lang"]).sort("lang")
+    return partitioned_aggregate(
+        _rp(sf_dir, "documents", ["lang"]), ["lang"], []
+    ).sort("lang")
 
 
 def sample_fraction(sf_dir: str, fraction: float = 0.1, seed: int = 7):
@@ -809,37 +671,33 @@ def sample_fraction(sf_dir: str, fraction: float = 0.1, seed: int = 7):
     )
 
 
+def first_per_key(
+    ds: ray.data.Dataset, keys: list[str], order: str, k: int
+) -> ray.data.Dataset:
+    """The ``k`` rows with the lowest ``order`` per distinct ``keys``
+    (``ROW_NUMBER() OVER (PARTITION BY keys ORDER BY order) <= k``), all
+    columns kept, in no particular row order.
+
+    Scale shape: same batched sort-within-partition windowing as
+    user_sessions — ONE shuffle on the bounded partition key, then per
+    partition a single vectorized pass that ranks EVERY key at once (sort
+    + groupby.cumcount, C kernels; no per-key Python). A key hotter than
+    ``k`` costs only its partition's sort, never an unbounded group."""
+
+    def _cap_part(g: pd.DataFrame) -> pd.DataFrame:
+        g = g.sort_values([*keys, order], kind="mergesort")
+        return g[g.groupby(keys, sort=False, dropna=False).cumcount() < k]
+
+    return partitioned_map(ds, keys, _cap_part)
+
+
 def domain_cap_sample(sf_dir: str, k: int = 20) -> ray.data.Dataset:
     """Per-domain document cap: keep at most ``k`` documents per source
     (deterministically the lowest ``doc_id``s) — the per-domain quota
-    step of CCNet/Gopher-style pretraining corpus curation.
-
-    Scale shape: same batched sort-within-partition windowing as
-    user_sessions — ONE hash-shuffle on a bounded partition key
-    (hash(source) % P), then per partition a single vectorized pass that
-    ranks EVERY domain at once (sort + groupby.cumcount, C kernels; no
-    per-domain Python). A domain hotter than ``k`` costs only its
-    partition's sort, never an unbounded group."""
-
-    def _add_part(batch: pa.Table) -> pa.Table:
-        h = pd.util.hash_array(
-            batch["source"].to_numpy(zero_copy_only=False), categorize=False
-        )
-        part = (h % np.uint64(_session_parts())).astype(np.int64)
-        return batch.append_column("part", pa.array(part, pa.int64()))
-
-    def _cap_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["source", "doc_id"], kind="mergesort")
-        rank = g.groupby("source", sort=False).cumcount()
-        return g.loc[rank < k, ["doc_id", "source"]]
-
-    return (
-        _rp(sf_dir, "documents", ["doc_id", "source"])
-        .map_batches(_add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(_cap_part, batch_format="pandas")
-        .sort("doc_id")
-    )
+    step of CCNet/Gopher-style pretraining corpus curation."""
+    return first_per_key(
+        _rp(sf_dir, "documents", ["doc_id", "source"]), ["source"], "doc_id", k
+    ).sort("doc_id")
 
 
 # ---------------------------------------------------------------------------
@@ -877,21 +735,15 @@ def returned_items(sf_dir: str, k: int = 20) -> ray.data.Dataset:
         ["l_orderkey", "l_extendedprice", "l_discount", "l_returnflag"],
     ).filter(expr="l_returnflag == 'R'")
 
-    def _rev_per_order(batch: pa.Table) -> pa.Table:
-        rev = pc.multiply(
-            batch["l_extendedprice"],
-            pc.subtract(pa.scalar(1.0), batch["l_discount"]),
-        )
-        t = pa.table({"l_orderkey": batch["l_orderkey"], "rev": rev})
-        g = t.group_by(["l_orderkey"]).aggregate([("rev", "sum")])
+    def _revenue(batch: pa.Table) -> pa.Table:
         return pa.table(
-            {"l_orderkey": g["l_orderkey"], "revenue": g["rev_sum"]}
+            {"l_orderkey": batch["l_orderkey"], "revenue": _disc_price(batch)}
         )
 
-    li_agg = (
-        li.map_batches(_rev_per_order, batch_format="pyarrow", batch_size=65536)
-        .groupby("l_orderkey")
-        .aggregate(Sum("revenue", alias_name="revenue"))
+    li_agg = partitioned_aggregate(
+        li.map_batches(_revenue, batch_format="pyarrow", batch_size=65536),
+        ["l_orderkey"],
+        [("revenue", "sum", "revenue")],
     )
 
     orders = _rp(sf_dir, "orders", ["o_orderkey", "o_custkey"])
@@ -900,18 +752,8 @@ def returned_items(sf_dir: str, k: int = 20) -> ray.data.Dataset:
         on=("l_orderkey",), right_on=("o_orderkey",),
     )
 
-    def _rev_per_cust(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(["o_custkey"]).aggregate([("revenue", "sum")])
-        return pa.table(
-            {"o_custkey": g["o_custkey"], "revenue": g["revenue_sum"]}
-        )
-
-    cust_rev = (
-        per_order.map_batches(
-            _rev_per_cust, batch_format="pyarrow", batch_size=65536
-        )
-        .groupby("o_custkey")
-        .aggregate(Sum("revenue", alias_name="revenue"))
+    cust_rev = partitioned_aggregate(
+        per_order, ["o_custkey"], [("revenue", "sum", "revenue")]
     )
 
     cust = _rp(sf_dir, "customer", ["c_custkey", "c_name"])
@@ -949,41 +791,29 @@ def orders_value_class_tally(
 ) -> ray.data.Dataset:
     """Per order priority, how many orders are above/below a total-price
     threshold — the conditional-aggregate (CASE WHEN) pattern, computed as
-    vectorized bool→int partial sums per batch."""
+    vectorized bool→int columns summed per group."""
 
-    def _partial(batch: pa.Table) -> pa.Table:
+    def _classed(batch: pa.Table) -> pa.Table:
         hi = pc.cast(
             pc.greater(batch["o_totalprice"], pa.scalar(threshold)),
             pa.int64(),
         )
-        t = pa.table(
+        return pa.table(
             {
                 "o_orderpriority": batch["o_orderpriority"],
                 "n_high": hi,
                 "n_low": pc.subtract(pa.scalar(1, pa.int64()), hi),
             }
         )
-        g = t.group_by(["o_orderpriority"]).aggregate(
-            [("n_high", "sum"), ("n_low", "sum")]
-        )
-        return pa.table(
-            {
-                "o_orderpriority": g["o_orderpriority"],
-                "n_high": g["n_high_sum"],
-                "n_low": g["n_low_sum"],
-            }
-        )
 
-    return (
-        _rp(sf_dir, "orders", ["o_orderpriority", "o_totalprice"])
-        .map_batches(_partial, batch_format="pyarrow", batch_size=65536)
-        .groupby("o_orderpriority")
-        .aggregate(
-            Sum("n_high", alias_name="n_high"),
-            Sum("n_low", alias_name="n_low"),
-        )
-        .sort("o_orderpriority")
+    orders = _rp(sf_dir, "orders", ["o_orderpriority", "o_totalprice"]).map_batches(
+        _classed, batch_format="pyarrow", batch_size=65536
     )
+    return partitioned_aggregate(
+        orders,
+        ["o_orderpriority"],
+        [("n_high", "sum", "n_high"), ("n_low", "sum", "n_low")],
+    ).sort("o_orderpriority")
 
 
 def part_type_stats(sf_dir: str) -> ray.data.Dataset:
@@ -992,35 +822,15 @@ def part_type_stats(sf_dir: str) -> ray.data.Dataset:
     partials so the combine stays exact under re-partitioning; doubles
     rounded to 2dp in both engines."""
 
-    def _partial(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(["p_type"]).aggregate(
-            [
-                ("p_retailprice", "sum"),
-                ("p_retailprice", "count"),
-                ("p_size", "min"),
-                ("p_size", "max"),
-            ]
-        )
-        return pa.table(
-            {
-                "p_type": g["p_type"],
-                "price_sum": g["p_retailprice_sum"],
-                "n": g["p_retailprice_count"].cast(pa.int64()),
-                "min_size": g["p_size_min"],
-                "max_size": g["p_size_max"],
-            }
-        )
-
-    ds = (
-        _rp(sf_dir, "part", ["p_type", "p_retailprice", "p_size"])
-        .map_batches(_partial, batch_format="pyarrow", batch_size=65536)
-        .groupby("p_type")
-        .aggregate(
-            Sum("price_sum", alias_name="price_sum"),
-            Sum("n", alias_name="n"),
-            Min("min_size", alias_name="min_size"),
-            Max("max_size", alias_name="max_size"),
-        )
+    ds = partitioned_aggregate(
+        _rp(sf_dir, "part", ["p_type", "p_retailprice", "p_size"]),
+        ["p_type"],
+        [
+            ("p_retailprice", "sum", "price_sum"),
+            ("p_retailprice", "count", "n"),
+            ("p_size", "min", "min_size"),
+            ("p_size", "max", "max_size"),
+        ],
     )
 
     def _finish(batch: pa.Table) -> pa.Table:
@@ -1031,8 +841,9 @@ def part_type_stats(sf_dir: str) -> ray.data.Dataset:
                 "avg_price": pc.round(
                     pc.divide(batch["price_sum"], pc.cast(batch["n"], pa.float64())), 2
                 ),
-                "min_size": batch["min_size"],
-                "max_size": batch["max_size"],
+                # int64 like the oracle's BIGINT casts (p_size is int32)
+                "min_size": pc.cast(batch["min_size"], pa.int64()),
+                "max_size": pc.cast(batch["max_size"], pa.int64()),
             }
         )
 

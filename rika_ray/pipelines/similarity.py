@@ -213,7 +213,7 @@ def _bounded_training_sample(
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    from rika_ray.pipelines.dedup import _mix64
+    from rika_ray.functions.text import mix64
 
     n = emb.count()
     # gate wide enough (2×) that ≥ max_sample_rows rows pass w.h.p., then
@@ -226,7 +226,7 @@ def _bounded_training_sample(
 
     def _hash_gate(batch: pa.Table) -> pa.Table:
         ids = batch["vec_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        key = _mix64(ids ^ seed_u)
+        key = mix64(ids ^ seed_u)
         keep = key <= threshold
         out = batch.filter(pa.array(keep))
         # int64 bit-view: uint64 > int63 degrades Ray's shuffle to pickled

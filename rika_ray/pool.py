@@ -67,3 +67,22 @@ def pool_size(
     if cap is not None:
         n = min(n, cap)
     return n
+
+
+def join_parts(*counts: int) -> int:
+    """Hash-join partition count clamped so the SMALLER side averages
+    ≥4096 rows per partition (floor 1, cap = cluster width). Two reasons:
+
+    - CORRECTNESS: unclamped ``max(4, cluster_cpus())`` on a tiny side
+      produces empty right-side partitions whose blocks lose their schema,
+      and Ray's hash-shuffle join finalize then dies in pyarrow with
+      ``No match … for FieldRef.Name(…)`` — reproduced at num_cpus=32
+      with a ~50-row label table (round-3 CORRECTNESS run).
+    - LATENCY: each partition is one hash-shuffle aggregator actor;
+      measured fixed cost is ~0.4-0.6 s of startup going 4 → 32 actors on
+      result-sized inputs where parallelism buys nothing.
+
+    At cluster scale every real input exceeds 4096 × cluster width, so the
+    clamp vanishes there. Callers pass known (materialized) row counts."""
+    n = min(counts)
+    return max(1, min(max(4, cluster_cpus()), (n + 4095) // 4096))

@@ -1131,12 +1131,18 @@ def jpeg_decode(data: bytes) -> np.ndarray:
     comps: list[tuple[int, int]] = []  # (comp_id, quant_id)
     scan_map: list[tuple[int, int]] = []  # (dc_tid, ac_tid)
     scan_start = None
-    while pos + 4 <= len(data):
+    while pos + 2 <= len(data):
         if data[pos] != 0xFF:
             raise CodecError("JPEG: marker expected")
         marker = data[pos + 1]
+        if marker == 0xFF:  # fill byte: any number may precede a marker
+            pos += 1
+            continue
         if marker == 0xD9:
             break
+        if marker == 0x01 or 0xD0 <= marker <= 0xD7:  # TEM, RSTn: no length
+            pos += 2
+            continue
         if pos + 4 > len(data):
             raise CodecError("JPEG: truncated segment header")
         (ln,) = struct.unpack(">H", data[pos + 2 : pos + 4])

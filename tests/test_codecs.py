@@ -308,6 +308,19 @@ def test_jpeg_byte_stuffing_and_determinism():
     assert jpeg_encode(px, 85) == enc
 
 
+def test_jpeg_fill_bytes_and_lengthless_markers():
+    """``FF`` fill bytes may precede any marker, and TEM / RSTn carry no
+    length field: both are skipped, and the pixels are unchanged."""
+    from rika_ray.stages.codecs import jpeg_decode, jpeg_encode
+
+    enc = jpeg_encode(_grad(16, 24, seed=5), 90)
+    want = jpeg_decode(enc)
+    i = enc.find(b"\xff\xdb")  # DQT
+    for extra in (b"\xff\xff", b"\xff\x01", b"\xff\xd3\xff\xff"):
+        out = jpeg_decode(enc[:i] + extra + enc[i:])
+        assert np.array_equal(out, want)
+
+
 def test_jpeg_idct_hand_case():
     """A block whose DCT has only the DC term must decode to a flat
     block at DC/8 + 128 (orthonormal 2-D DCT scaling)."""
