@@ -78,8 +78,10 @@ def _q_extract_full(sf_dir: str):
     ).sort("url")
 
 
-_GOLDEN_HASHES = "/root/repo/rika_ray/data/golden_content_hashes_sf0.01.parquet"
-_GOLDEN_LANG = "/root/repo/rika_ray/data/golden_lang_id_sf0.01.parquet"
+_DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "rika_ray", "data")
+_GOLDEN_HASHES = os.path.join(_DATA, "golden_content_hashes_sf0.01.parquet")
+_GOLDEN_LANG = os.path.join(_DATA, "golden_lang_id_sf0.01.parquet")
+_GOLDEN_ROLLING = os.path.join(_DATA, "golden_rolling_fingerprint_sf0.01.parquet")
 
 
 def _q_extract_content_hashes(sf_dir: str):
@@ -254,7 +256,7 @@ def _q_video_features_decoded(sf_dir: str):
     import pyarrow as pa
 
     from rika_ray.pipelines.extraction import read_web_pages
-    from rika_ray.pipelines.multimodal import VideoFrameStage, video_means
+    from rika_ray.pipelines.multimodal import video_frame_pipeline, video_means
 
     corpus = _corpus_path(sf_dir)
 
@@ -267,16 +269,11 @@ def _q_video_features_decoded(sf_dir: str):
         ]
         return batch.filter(pa.array(keep, pa.bool_()))
 
+    avi = read_web_pages(f"{corpus}/web_pages.parquet").map_batches(
+        _is_avi, batch_format="pyarrow"
+    )
     return (
-        read_web_pages(f"{corpus}/web_pages.parquet")
-        .map_batches(_is_avi, batch_format="pyarrow")
-        .map_batches(
-            VideoFrameStage,
-            batch_format="pyarrow",
-            batch_size=8,
-            concurrency=2,
-            num_cpus=0.5,
-        )
+        video_frame_pipeline(avi, only_video=False)
         .map_batches(video_means, batch_format="pyarrow")
         .sort("url")
     )
@@ -469,6 +466,13 @@ def oracle_sql() -> dict[str, str]:
         "lang_id": (
             f"SELECT doc_id, language FROM read_parquet('{_GOLDEN_LANG}') "
             "ORDER BY doc_id"
+        ),
+        # the rolling fingerprint is not SQL-expressible: the golden is
+        # recomputed from its definition in plain Python integers over the
+        # driver's documents table (tools/gen_golden_rolling.py)
+        "doc_fingerprints_rolling": (
+            "SELECT doc_id, fingerprint FROM "
+            f"read_parquet('{_GOLDEN_ROLLING}') ORDER BY doc_id"
         ),
         "source_tally": (
             "SELECT source, COUNT(*) AS n FROM documents "

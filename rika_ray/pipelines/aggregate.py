@@ -1,7 +1,7 @@
-"""One grouped-aggregate operator over a bounded number of partitions.
+"""Every exchange of rows by key, over a bounded number of partitions.
 
-Every grouped aggregate, tally and per-key window in ``pipelines/`` is
-planned here, the same way:
+Every grouped aggregate, tally, per-key window and join in ``pipelines/``
+is planned here, the same way:
 
 1. **Partial, per block.** An Arrow hash ``group_by`` reduces each block
    the input arrives in to one row per key in that block, and tags the row
@@ -17,12 +17,18 @@ planned here, the same way:
 3. **Top-k** (optional): each block keeps only its k best rows, and one
    last task picks the k best of those.
 
+A join (:func:`partitioned_join`) tags both sides with the partition of
+their key, shuffles them together with the same sort and runs one Arrow
+hash join per block.
+
 Ray's own ``groupby(key)`` dispatches once per distinct key and its sort
-makes one reduce task per input block; here the shuffle has
-``partition_count() / 4`` reduce tasks whatever the key cardinality or the
-input size, and everything inside one is a vectorized Arrow pass. A block
-must fit a worker's heap: at scale the count grows with the cluster (see
-:func:`partition_count`), never with the key space.
+makes one reduce task per input block; its hash joins hold one aggregator
+actor per partition, which never schedules on a one-CPU cluster. Here the
+shuffle is plain tasks: ``partition_count() / 4`` reduce tasks whatever
+the key cardinality or the input size, and everything inside one is a
+vectorized Arrow pass. A block must fit a worker's heap: at scale the
+count grows with the cluster (see :func:`partition_count`), never with
+the key space.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from rika_ray.functions.text import mix64
-from rika_ray.pool import pool_spec
+from rika_ray.pool import pool_size
 
 PART = "_part"
 
@@ -50,10 +56,10 @@ _FIXED_WIDTH = (
 
 
 def partition_count() -> int:
-    """How many partitions a bounded-partition shuffle uses: a few per pool
-    slot, enough parallelism without the per-partition cost mattering. It
-    follows the cluster through ``pool_spec``'s cap."""
-    return max(8, pool_spec()[1] * 4)
+    """How many partitions a bounded-partition shuffle uses: four per
+    auxiliary pool slot (``pool_size()``, at least 2), enough parallelism
+    without the per-partition cost mattering. It follows the cluster."""
+    return 4 * pool_size()
 
 
 def _key_u64(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
@@ -197,3 +203,95 @@ def partitioned_aggregate(
 def _top(table: pa.Table, keys: list[str], col: str, k: int) -> pa.Table:
     order = [(col, "descending")] + [(key, "ascending") for key in keys]
     return table.take(pc.sort_indices(table, sort_keys=order)[:k])
+
+
+_SIDE = "_side"
+_RIGHT = "_right."
+_JOIN_TYPES = {"inner": "inner", "left_anti": "left anti"}
+
+
+def partitioned_join(
+    left: ray.data.Dataset,
+    right: ray.data.Dataset,
+    left_on: list[str],
+    right_on: list[str],
+    how: str,
+) -> ray.data.Dataset:
+    """``left JOIN right ON left_on = right_on``, ``how`` one of ``inner``
+    and ``left_anti``, in no particular row order.
+
+    The output holds the left columns, the keys under their left names,
+    then (``inner`` only) the right columns other than the keys; a right
+    column whose name the left side also has gets the suffix ``_right``.
+    Null keys match nothing, as in SQL: a left row with a null key is kept
+    by ``left_anti``.
+
+    Both sides are tagged with their partition and a side marker,
+    shuffled together by one sort, and each block, which holds every row
+    of its partitions from both sides, is joined by one Arrow hash join."""
+    if how not in _JOIN_TYPES:
+        raise ValueError(f"unsupported join type {how!r}")
+    # Each side runs to completion on its own before the shared sort. Ray
+    # runs a sort's shuffle inside the executor's scheduling loop: if one
+    # side's sort started while a task of the other side waited for that
+    # loop to take its output, the waiting task would hold the CPU the
+    # shuffle needs, and a one-CPU cluster would hang. Materialized, both
+    # sides also know their schema and row count without running again.
+    left, right = left.materialize(), right.materialize()
+    lschema, rschema = left.schema().base_schema, right.schema().base_schema
+    if left.count() == 0 or right.count() == 0:
+        if how == "left_anti":
+            return left
+        return ray.data.from_arrow(
+            _join_tables(
+                lschema.empty_table(), rschema.empty_table(), left_on, right_on, how
+            )
+        )
+
+    n_parts = partition_count()
+
+    def _tag(batch: pa.Table, is_right: bool) -> pa.Table:
+        t = _tagged(batch, right_on if is_right else left_on, n_parts)
+        if is_right:
+            # the right side's columns travel under a prefix: the two sides
+            # never share a name in the shuffled blocks. Their schemas
+            # differ, which Ray logs once per union; padding each side to
+            # one layout would ship the other side's fixed-width columns
+            # (512-byte signatures) as nulls.
+            t = t.rename_columns(
+                [c if c == PART else _RIGHT + c for c in t.column_names]
+            )
+        return t.append_column(_SIDE, pa.array(np.full(t.num_rows, is_right)))
+
+    def _side(block: pa.Table, schema: pa.Schema, prefix: str, rows) -> pa.Table:
+        names = [prefix + n for n in schema.names]
+        if not set(names) <= set(block.column_names):
+            return schema.empty_table()  # no row of this side in the block
+        return block.filter(rows).select(names).rename_columns(schema.names)
+
+    def _join(block: pa.Table) -> pa.Table:
+        is_right = block[_SIDE]
+        lt = _side(block, lschema, "", pc.invert(is_right))
+        rt = _side(block, rschema, _RIGHT, is_right)
+        return _join_tables(lt, rt, left_on, right_on, how)
+
+    tagged = [
+        ds.map_batches(
+            _tag, fn_args=(is_right,), batch_format="pyarrow", batch_size=None
+        )
+        for ds, is_right in ((left, False), (right, True))
+    ]
+    return _shuffled(tagged[0].union(tagged[1]), n_parts, _join, "pyarrow")
+
+
+def _join_tables(
+    lt: pa.Table, rt: pa.Table, left_on: list[str], right_on: list[str], how: str
+) -> pa.Table:
+    return lt.join(
+        rt,
+        keys=left_on,
+        right_keys=right_on,
+        join_type=_JOIN_TYPES[how],
+        right_suffix="_right",
+        use_threads=False,
+    )

@@ -2,19 +2,21 @@
 "Deduplication" block): exact, MinHash+LSH, SimHash, n-gram Jaccard
 verification, embedding-cosine near-dup.
 
-Shuffle discipline (ray_guide.md "Aggregation at scale"):
-- exact dedup: content-hash column added vectorized, then ONE hash-shuffle
-  ``groupby(hash)`` + per-group min — no pairwise work.
+Shuffle discipline: every exchange of rows by key is one of the
+bounded-partition operators of ``pipelines.aggregate`` (plain tasks, one
+sort on the partition id), and every per-batch stage is a plain task:
+- exact dedup: content-hash column added vectorized, then ONE
+  ``partitioned_aggregate`` min per hash — no pairwise work.
 - MinHash-LSH: the corpus is scanned ONCE into packed 512-byte signatures;
   slim band rows ``(doc_id, band, band_hash)`` derive from them without
   re-reading text. Pairing is a SELF-JOIN of band rows on the bucket key,
-  signature attach is ONE hash join, est is one groupby — three all-to-all
+  signature attach is ONE join, est is one aggregate — three all-to-all
   exchanges total, every one distributed. Nothing corpus-proportional ever
   reaches the driver (at web dup rates the pair set itself is
   corpus-proportional, so even "result-sized" driver state is forbidden).
 - n-gram Jaccard verification: same join-based attach — shingle blobs for
-  all docs ride two hash joins onto the pair rows. No text broadcast, no
-  candidate id broadcast.
+  all docs ride ONE join onto the pair side rows, one aggregate brings a
+  pair's two blobs together. No text broadcast, no candidate id broadcast.
 - SimHash: bit votes computed with numpy unpack, no per-bit Python loops.
 - embedding near-dup: random-hyperplane LSH buckets, pairwise cosine only
   within a bucket; an exact all-pairs variant exists as the oracle
@@ -36,14 +38,16 @@ import os
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.compute as pc
 import ray.data
-from ray.data.aggregate import Count, Max, Min
 
 from rika_ray.functions.text import mix64, tokenize
 from rika_ray.functions.vectors import embedding_matrix, unit_rows
-from rika_ray.pipelines.aggregate import partitioned_aggregate
-from rika_ray.pool import join_parts, pool_spec
+from rika_ray.pipelines.aggregate import (
+    partitioned_aggregate,
+    partitioned_join,
+    partitioned_map,
+)
+from rika_ray.pool import pool_size
 
 
 def _docs(sf_dir: str, columns):
@@ -60,6 +64,28 @@ def _schema_stable(
     otherwise loses the schema entirely (``schema()`` → None)."""
     out = out.materialize()
     return empty if out.count() == 0 else out
+
+
+def _is_empty(ds: ray.data.Dataset) -> bool:
+    """Whether a materialized dataset has no rows (its count is metadata).
+    Ray hands an empty block through a map without running the map, so an
+    empty input would reach a join without the columns the map adds: the
+    callers return their typed empty result instead."""
+    return ds.count() == 0
+
+
+def _pair_sides(a: np.ndarray, b: np.ndarray) -> pa.Table:
+    """Each pair ``(a, b)`` as two rows keyed by one side's doc id
+    (``jkey``): one join against a per-doc table then attaches both
+    sides' values, and an aggregate on ``(doc_a, doc_b)`` brings them
+    together again."""
+    return pa.table(
+        {
+            "jkey": pa.array(np.concatenate([a, b]), pa.int64()),
+            "doc_a": pa.array(np.concatenate([a, a]), pa.int64()),
+            "doc_b": pa.array(np.concatenate([b, b]), pa.int64()),
+        }
+    )
 
 
 def _empty_pairs(value_col: str) -> ray.data.Dataset:
@@ -149,9 +175,8 @@ def _shingle_hashes_u32(text: str) -> np.ndarray:
 
 
 class _MinHasher:
-    """Shared signature/band math for the two actor stages. Permutation
-    keys are generated once per actor in ``__init__`` (fixed seed →
-    identical across actors)."""
+    """Shared signature/band math. Permutation keys are generated once in
+    ``__init__`` (fixed seed → identical wherever it is built)."""
 
     def __init__(self, seed: int = 42) -> None:
         rng = np.random.RandomState(seed)
@@ -205,10 +230,10 @@ SIG_BYTES = 8 * N_PERM  # 64 uint64 little-endian = 512 bytes/doc
 
 
 class MinHashSigStage(_MinHasher):
-    """Actor-pool stage: text → full 64-perm signature packed as a
+    """Per-batch stage: text → full 64-perm signature packed as a
     fixed-size BINARY scalar (512 bytes, little-endian uint64s). Binary —
-    not a list column — because the signature rides hash-shuffle JOINS
-    downstream and pyarrow's acero join rejects list-typed payload fields
+    not a list column — because the signature rides JOINS downstream and
+    pyarrow's acero join rejects list-typed payload fields
     (``fixed_size_list … is not supported in join non-key field``)."""
 
     def __init__(self, seed: int = 42) -> None:
@@ -236,25 +261,6 @@ def _unpack_sigs(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
     return np.frombuffer(b"".join(blobs), dtype="<u8").reshape(-1, N_PERM)
 
 
-def _sig_task_fn(seed: int):
-    """TASK-based signature kernel: the hasher's init is a few numpy
-    arrays (~µs) cached per worker process, so an actor pool would pay
-    startup for nothing. Module-level cache → one instance per (worker,
-    seed), reused across queries in the same session."""
-
-    def _sig_task(batch: pa.Table) -> pa.Table:
-        key = ("minhash_sig", seed)
-        stage = _STAGE_CACHE.get(key)
-        if stage is None:
-            stage = _STAGE_CACHE[key] = MinHashSigStage(seed=seed)
-        return stage(batch)
-
-    return _sig_task
-
-
-_STAGE_CACHE: dict = {}
-
-
 def minhash_lsh_pairs(
     sf_dir: str,
     threshold: float = 0.5,
@@ -267,17 +273,15 @@ def minhash_lsh_pairs(
     through the driver or a broadcast id set (round-3 verdict item 5).
     The driver only ever sees scalar counts.
 
-    Exactly THREE all-to-all exchanges after the scan (each hash-shuffle
-    op costs ~1-2 s in fixed aggregator startup regardless of data size,
-    so the stage count is the latency budget):
+    Exactly THREE all-to-all exchanges after the scan, each one sort on
+    the bounded partition key (``pipelines.aggregate``):
 
-    1. ONE corpus scan → 512-byte packed signatures (task-based
-       ``map_batches`` — the per-task hasher init is a few numpy arrays,
-       cached per worker process, so an actor pool would cost startup
-       for nothing). Persisted to ``checkpoint_dir`` parquet when given
-       (the job's resume point at cluster scale), object-store-only
-       otherwise. Slim band rows (doc_id, band, band_hash) derive from
-       the signatures with a vectorized pass — text is never re-read.
+    1. ONE corpus scan → 512-byte packed signatures (plain tasks; the
+       hasher is built once where the plan is made). Persisted to
+       ``checkpoint_dir`` parquet when given (the job's resume point at
+       cluster scale), object-store-only otherwise. Slim band rows
+       (doc_id, band, band_hash) derive from the signatures with a
+       vectorized pass — text is never re-read.
     2. SELF-JOIN of band rows on (band, band_hash): co-bucketed ordered
        pairs fall out vectorized — no per-bucket Python, no separate
        hot-bucket detection pass. Singleton buckets cost one self-row
@@ -285,36 +289,36 @@ def minhash_lsh_pairs(
        quadratic here exactly as in any LSH pairing; the embedding path
        shows the capped-bucket variant — for minhash the uncapped set IS
        the oracle-checkable semantics.)
-    3. Each pair explodes to two side rows; ONE hash join against the
+    3. Each pair explodes to two side rows; ONE join against the
        signature table attaches each side's signature — the slim
        520-byte/doc signature column rides the shuffle; an id-set
        broadcast would be corpus-proportional at web dup rates and die
        at the driver.
-    4. ``groupby(doc_a, doc_b)`` brings a pair's two signatures together
-       (and collapses duplicate discoveries from different bands); the
-       est compare is a 64-lane numpy op per pair, result-bounded.
+    4. An aggregate on ``(doc_a, doc_b)`` brings a pair's two signatures
+       together (and collapses duplicate discoveries from different
+       bands); the est compare is a 64-lane numpy op per pair,
+       result-bounded."""
+    stage = MinHashSigStage(seed=seed)
 
-    Join partition counts are clamped via ``pool.join_parts`` (empty-
-    partition schema loss, see there)."""
-    import ray
+    def _sigs(batch: pa.Table) -> pa.Table:
+        return stage(batch)
 
     sig_scan = _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        _sig_task_fn(seed), batch_format="pyarrow", batch_size=256
+        _sigs, batch_format="pyarrow", batch_size=256
     )
+    # materialized: the self-join and the attach both read the signatures
     if checkpoint_dir is not None:
         os.makedirs(checkpoint_dir, exist_ok=True)
         sig_scan.write_parquet(checkpoint_dir)
         sigs = ray.data.read_parquet(
-            checkpoint_dir, override_num_blocks=pool_spec()[1]
+            checkpoint_dir, override_num_blocks=pool_size()
         ).materialize()
     else:
         sigs = sig_scan.materialize()
-    n_docs = sigs.count()
-    if n_docs == 0:
+    if _is_empty(sigs):
         return _empty_pairs("est_jaccard")
 
-    hasher = _MinHasher(seed)
-    band_salt = hasher.band_salt  # closure state, pickled per task
+    band_salt = stage.band_salt  # closure state, pickled per task
 
     def _band_rows(batch: pa.Table) -> pa.Table:
         s = _unpack_sigs(batch["sig"]).T  # (N_PERM, n)
@@ -341,57 +345,35 @@ def minhash_lsh_pairs(
 
     band_rows = sigs.map_batches(_band_rows, batch_format="pyarrow")
 
-    # all co-bucketed ordered pairs in ONE vectorized hash join; the a<b
+    # all co-bucketed ordered pairs in ONE vectorized self-join; the a<b
     # filter drops self-rows and mirror duplicates. Exploded immediately
     # into two (jkey, doc_a, doc_b) side rows per pair for the sig attach.
-    co = band_rows.join(
-        band_rows,
-        "inner",
-        num_partitions=join_parts(n_docs * N_BANDS),
-        on=("band", "band_hash"),
-        right_on=("band", "band_hash"),
-        right_suffix="_b",
-    )
+    key = ["band", "band_hash"]
+    co = partitioned_join(band_rows, band_rows, key, key, "inner")
 
     def _sides(batch: pa.Table) -> pa.Table:
         a = batch["doc_id"].to_numpy(zero_copy_only=False)
-        b = batch["doc_id_b"].to_numpy(zero_copy_only=False)
+        b = batch["doc_id_right"].to_numpy(zero_copy_only=False)
         keep = a < b
-        a, b = a[keep], b[keep]
-        return pa.table(
-            {
-                "jkey": pa.array(np.concatenate([a, b]), pa.int64()),
-                "doc_a": pa.array(np.concatenate([a, a]), pa.int64()),
-                "doc_b": pa.array(np.concatenate([b, b]), pa.int64()),
-            }
-        )
+        return _pair_sides(a[keep], b[keep])
 
-    sides = co.map_batches(_sides, batch_format="pyarrow").materialize()
-    n_sides = sides.count()
-    if n_sides == 0:
-        return _empty_pairs("est_jaccard")
+    sides = co.map_batches(_sides, batch_format="pyarrow")
+    attached = partitioned_join(sides, sigs, ["jkey"], ["doc_id"], "inner")
 
-    attached = sides.join(
-        sigs,
-        "inner",
-        num_partitions=join_parts(n_sides, n_docs),
-        on=("jkey",),
-        right_on=("doc_id",),
-    )
-
-    # est compare WITHOUT per-pair Python dispatch (round-4 verdict: one
-    # map_groups call per candidate pair ≈ 12 s per 80k groups of pure
-    # overhead — minutes at web dup rates). A pair's group holds exactly
-    # the two sides' signatures (k× duplicated when k bands agree), so
-    # vectorized binary Min/Max aggregates recover BOTH signatures —
-    # min==max lanes are the matching permutations — and the jkey
-    # min/max doubles as a both-sides-present check. One native groupby
-    # (the same exchange the old map_groups paid), zero per-group fns.
-    grouped = attached.groupby(["doc_a", "doc_b"]).aggregate(
-        Min("sig", alias_name="sig_lo"),
-        Max("sig", alias_name="sig_hi"),
-        Min("jkey", alias_name="jkey_lo"),
-        Max("jkey", alias_name="jkey_hi"),
+    # est compare WITHOUT per-pair Python dispatch: a pair's group holds
+    # exactly the two sides' signatures (k× duplicated when k bands
+    # agree), so vectorized binary min/max aggregates recover BOTH
+    # signatures — min==max lanes are the matching permutations — and the
+    # jkey min/max doubles as a both-sides-present check.
+    grouped = partitioned_aggregate(
+        attached,
+        ["doc_a", "doc_b"],
+        [
+            ("sig", "min", "sig_lo"),
+            ("sig", "max", "sig_hi"),
+            ("jkey", "min", "jkey_lo"),
+            ("jkey", "max", "jkey_hi"),
+        ],
     )
 
     def _est(batch: pa.Table) -> pa.Table:
@@ -440,26 +422,20 @@ def minhash_pair_set(
 # n-gram Jaccard verification (exact) for candidate pairs — co-partitioned
 # ---------------------------------------------------------------------------
 
-class _ShingleBlobStage:
-    """Actor-pool stage: text → the doc's sorted-unique 32-bit shingle
-    hashes packed as a variable-length BINARY blob (~4 bytes/token).
-    Binary because the blob rides hash-shuffle JOINS (acero rejects
-    list-typed join payloads). Runs over ALL documents: at web dup rates
-    the candidate id set is corpus-proportional, so a broadcast id filter
-    would die at the driver — the slim blob table riding one shuffle per
-    pair side is the scale-honest trade."""
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        blobs = [
-            _shingle_hashes_u32(t or "").astype("<u4").tobytes()
-            for t in batch["text"].to_pylist()
-        ]
-        return pa.table(
-            {
-                "doc_id": batch["doc_id"],
-                "shingles": pa.array(blobs, pa.binary()),
-            }
-        )
+def _shingle_blobs(batch: pa.Table) -> pa.Table:
+    """text → the doc's sorted-unique 32-bit shingle hashes packed as a
+    variable-length BINARY blob (~4 bytes/token). Binary because the blob
+    rides a JOIN (acero rejects list-typed join payloads). Runs over ALL
+    documents: at web dup rates the candidate id set is
+    corpus-proportional, so a broadcast id filter would die at the driver
+    — the slim blob table riding one shuffle is the scale-honest trade."""
+    blobs = [
+        _shingle_hashes_u32(t or "").astype("<u4").tobytes()
+        for t in batch["text"].to_pylist()
+    ]
+    return pa.table(
+        {"doc_id": batch["doc_id"], "shingles": pa.array(blobs, pa.binary())}
+    )
 
 
 def verify_jaccard_pairs(
@@ -468,11 +444,12 @@ def verify_jaccard_pairs(
     """MinHash candidates verified with exact shingle-set Jaccard —
     fully distributed, no driver materialization and no broadcast:
 
-    1. candidate pairs from ``minhash_lsh_pairs`` (a distributed
-       Dataset; only its scalar count reaches the driver),
+    1. candidate pairs from ``minhash_lsh_pairs``, each exploded to two
+       side rows,
     2. sorted-unique shingle blobs for every document (one pruned scan),
-    3. TWO hash joins attach each pair's blobs (pairs ⨝ blobs ON doc_a,
-       then ON doc_b) — same shape as the signature attach in
+    3. ONE join attaches each side's blob and one aggregate on the pair
+       brings the two blobs together (min and max: Jaccard is
+       symmetric) — same shape as the signature attach in
        ``minhash_lsh_pairs``,
     4. exact Jaccard per pair via ``np.intersect1d`` over the two
        decoded sorted arrays (vectorized per pair; pair rows are
@@ -480,44 +457,31 @@ def verify_jaccard_pairs(
 
     Values are raw float64 ratios (|A∩B|/|A∪B| of integer counts) —
     bit-identical to the DuckDB oracle's division, so no rounding."""
-    cand = minhash_lsh_pairs(
-        sf_dir, threshold=threshold * 0.6, seed=seed
-    ).select_columns(["doc_a", "doc_b"]).materialize()
-    n_pairs = cand.count()
-    if n_pairs == 0:
+    cand = minhash_lsh_pairs(sf_dir, threshold=threshold * 0.6, seed=seed)
+    if _is_empty(cand):
         return _empty_pairs("jaccard")
 
+    def _sides(batch: pa.Table) -> pa.Table:
+        return _pair_sides(
+            batch["doc_a"].to_numpy(zero_copy_only=False),
+            batch["doc_b"].to_numpy(zero_copy_only=False),
+        )
+
     blobs = _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        _ShingleBlobStage,
-        batch_format="pyarrow",
-        batch_size=512,
-        concurrency=pool_spec(),
-        num_cpus=0.5,
-    ).materialize()
-    n_docs = blobs.count()
-
-    def _name_blob(name: str):
-        def _rename(batch: pa.Table) -> pa.Table:
-            return batch.rename_columns(
-                [name if c == "shingles" else c for c in batch.column_names]
-            )
-
-        return _rename
-
-    with_a = cand.join(
+        _shingle_blobs, batch_format="pyarrow", batch_size=512
+    )
+    attached = partitioned_join(
+        cand.map_batches(_sides, batch_format="pyarrow"),
         blobs,
+        ["jkey"],
+        ["doc_id"],
         "inner",
-        num_partitions=join_parts(n_pairs, n_docs),
-        on=("doc_a",),
-        right_on=("doc_id",),
-    ).map_batches(_name_blob("sh_a"), batch_format="pyarrow")
-    with_ab = with_a.join(
-        blobs,
-        "inner",
-        num_partitions=join_parts(n_pairs, n_docs),
-        on=("doc_b",),
-        right_on=("doc_id",),
-    ).map_batches(_name_blob("sh_b"), batch_format="pyarrow")
+    )
+    with_ab = partitioned_aggregate(
+        attached,
+        ["doc_a", "doc_b"],
+        [("shingles", "min", "sh_a"), ("shingles", "max", "sh_b")],
+    )
 
     def _jaccard(batch: pa.Table) -> pa.Table:
         a_blobs = batch["sh_a"].to_pylist()
@@ -629,27 +593,17 @@ def simhash64(text: str) -> int:
     return int(simhash64_batch([text])[0])
 
 
-class SimHashStage:
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        hashes = simhash64_batch(batch["text"].to_pylist())
-        return pa.table(
-            {
-                "doc_id": batch["doc_id"],
-                "simhash": pa.array(hashes, pa.uint64()),
-            }
-        )
+def _simhash_rows(batch: pa.Table) -> pa.Table:
+    hashes = simhash64_batch(batch["text"].to_pylist())
+    return pa.table(
+        {"doc_id": batch["doc_id"], "simhash": pa.array(hashes, pa.uint64())}
+    )
 
 
 def simhash_signatures(sf_dir: str) -> ray.data.Dataset:
     return (
         _docs(sf_dir, ["doc_id", "text"])
-        .map_batches(
-            SimHashStage,
-            batch_format="pyarrow",
-            batch_size=1024,
-            concurrency=pool_spec(),
-            num_cpus=0.5,
-        )
+        .map_batches(_simhash_rows, batch_format="pyarrow", batch_size=1024)
         .sort("doc_id")
     )
 
@@ -752,7 +706,7 @@ def simhash_neardup_pairs(
 
     Scale shape: the 8-byte signature RIDES the band rows, so unlike
     minhash there is no signature re-attach join — one corpus scan, ONE
-    self-join on (band, band_val), one result-sized distinct groupby.
+    self-join on (band, band_val), one result-sized distinct aggregate.
     16-bit band values keep buckets thin (n/65536 per band at uniform
     load); the a<b filter drops singleton self-rows. Raising
     ``max_hamming`` beyond 3 requires more/narrower bands (B bands
@@ -765,19 +719,19 @@ def simhash_neardup_pairs(
             batch_format="pyarrow",
             batch_size=256,
         )
-        .materialize()
+        .materialize()  # both sides of the self-join read it
     )
-    n_docs = sigs.count()
-    if n_docs == 0:
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    "doc_a": pa.array([], pa.int64()),
-                    "doc_b": pa.array([], pa.int64()),
-                    "hamming": pa.array([], pa.int64()),
-                }
-            )
+    empty = ray.data.from_arrow(
+        pa.table(
+            {
+                "doc_a": pa.array([], pa.int64()),
+                "doc_b": pa.array([], pa.int64()),
+                "hamming": pa.array([], pa.int64()),
+            }
         )
+    )
+    if _is_empty(sigs):
+        return empty
 
     def _band_rows(batch: pa.Table) -> pa.Table:
         sim = batch["sim"].to_numpy(zero_copy_only=False).view(np.uint64)
@@ -802,20 +756,14 @@ def simhash_neardup_pairs(
         )
 
     band_rows = sigs.map_batches(_band_rows, batch_format="pyarrow")
-    co = band_rows.join(
-        band_rows,
-        "inner",
-        num_partitions=join_parts(n_docs * SIMHASH_BANDS),
-        on=("band", "band_val"),
-        right_on=("band", "band_val"),
-        right_suffix="_b",
-    )
+    key = ["band", "band_val"]
+    co = partitioned_join(band_rows, band_rows, key, key, "inner")
 
     def _pairs(batch: pa.Table) -> pa.Table:
         a = batch["doc_id"].to_numpy(zero_copy_only=False)
-        b = batch["doc_id_b"].to_numpy(zero_copy_only=False)
+        b = batch["doc_id_right"].to_numpy(zero_copy_only=False)
         sa = batch["sim"].to_numpy(zero_copy_only=False).view(np.uint64)
-        sb = batch["sim_b"].to_numpy(zero_copy_only=False).view(np.uint64)
+        sb = batch["sim_right"].to_numpy(zero_copy_only=False).view(np.uint64)
         ham = _popcount64(sa ^ sb)
         keep = (a < b) & (ham <= np.uint64(max_hamming))
         return pa.table(
@@ -828,14 +776,14 @@ def simhash_neardup_pairs(
             }
         )
 
-    return (
-        co.map_batches(_pairs, batch_format="pyarrow")
-        # a pair found in k clean bands appears k times with the SAME
-        # hamming — Min is pure dedup here
-        .groupby(["doc_a", "doc_b"])
-        .aggregate(Min("hamming", alias_name="hamming"))
-        .sort(["doc_a", "doc_b"])
+    # a pair found in k clean bands appears k times with the SAME
+    # hamming — min is pure dedup here
+    out = partitioned_aggregate(
+        co.map_batches(_pairs, batch_format="pyarrow"),
+        ["doc_a", "doc_b"],
+        [("hamming", "min", "hamming")],
     )
+    return _schema_stable(out.sort(["doc_a", "doc_b"]), empty)
 
 
 # ---------------------------------------------------------------------------
@@ -903,6 +851,11 @@ def _capped_bucket_pairs(
     )
 
 
+_VEC_PAIRS = pa.schema(
+    [("vec_a", pa.int64()), ("vec_b", pa.int64()), ("cosine", pa.float64())]
+)
+
+
 def embedding_neardup_pairs(
     sf_dir: str,
     threshold: float = 0.9,
@@ -914,7 +867,7 @@ def embedding_neardup_pairs(
     shuffle on the bucket key), exact cosine only within buckets, with
     per-bucket work capped at ``bucket_cap``² via recursive hyperplane
     sub-splits (see ``_capped_bucket_pairs``) so one degenerate bucket
-    can never revert a ``map_groups`` group to O(B²)/OOM. The scale
+    can never revert a partition's pass to O(B²)/OOM. The scale
     path — recall < 1 by design for borderline pairs; the exact baseline
     below is the oracle-checked ground truth."""
     from rika_ray.sources.parquet import read_parquet_clean
@@ -922,90 +875,51 @@ def embedding_neardup_pairs(
     emb = read_parquet_clean(f"{sf_dir}/embeddings.parquet")
     dim = len(emb.take(1)[0]["embedding"])
     planes = np.random.RandomState(seed).standard_normal((dim, n_planes))
-    import ray as _ray
 
-    planes_ref = _ray.put(planes)
-
-    class BucketStage:
-        def __init__(self):
-            self.planes = _ray.get(planes_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            vecs = embedding_matrix(batch["embedding"])
-            signs = (vecs @ self.planes) > 0
-            bucket = (signs @ (1 << np.arange(signs.shape[1]))).astype(np.int64)
-            return pa.table(
-                {
-                    "vec_id": batch["vec_id"],
-                    "bucket": pa.array(bucket, pa.int64()),
-                    "embedding": batch["embedding"],
-                }
-            )
-
-    # group fns must emit Arrow here: the result is unioned with an Arrow
-    # empty table below, and mixed pandas/arrow blocks trip Ray's
-    # inferred-block-type assertion at high CPU counts (round-1 pitfall)
-    _PAIR_SCHEMA = pa.schema(
-        [("vec_a", pa.int64()), ("vec_b", pa.int64()), ("cosine", pa.float64())]
-    )
-
-    def _pairs(group: pd.DataFrame) -> pa.Table:
-        group = group.sort_values("vec_id")  # canonical vec_a < vec_b pairs
-        vecs = np.stack(group["embedding"].to_numpy()).astype(np.float64)
-        norms = np.linalg.norm(vecs, axis=1, keepdims=True)
-        unit = vecs / np.maximum(norms, 1e-12)
-        ids = group["vec_id"].to_numpy()
-        frames = _capped_bucket_pairs(ids, unit, threshold, bucket_cap, seed)
-        if not frames:
-            return _PAIR_SCHEMA.empty_table()
-        cat = pd.concat(frames, ignore_index=True)
+    def _bucketed(batch: pa.Table) -> pa.Table:
+        signs = (embedding_matrix(batch["embedding"]) @ planes) > 0
+        bucket = (signs @ (1 << np.arange(signs.shape[1]))).astype(np.int64)
         return pa.table(
             {
-                "vec_a": pa.array(cat["vec_a"].to_numpy(np.int64)),
-                "vec_b": pa.array(cat["vec_b"].to_numpy(np.int64)),
-                "cosine": pa.array(cat["cosine"].to_numpy(np.float64)),
-            },
-            schema=_PAIR_SCHEMA,
+                "vec_id": batch["vec_id"],
+                "bucket": pa.array(bucket, pa.int64()),
+                "embedding": batch["embedding"],
+            }
         )
 
-    pairs = (
-        emb.map_batches(
-            BucketStage,
-            batch_format="pyarrow",
-            batch_size=1024,
-            concurrency=pool_spec(),
-            num_cpus=0.5,
-        )
-        .groupby("bucket")
-        .map_groups(_pairs, batch_format="pandas")
-    )
+    def _pairs(part: pd.DataFrame) -> pd.DataFrame:
+        frames = []
+        for _, group in part.groupby("bucket"):
+            group = group.sort_values("vec_id")  # canonical vec_a < vec_b
+            vecs = np.stack(group["embedding"].to_numpy()).astype(np.float64)
+            norms = np.linalg.norm(vecs, axis=1, keepdims=True)
+            unit = vecs / np.maximum(norms, 1e-12)
+            ids = group["vec_id"].to_numpy()
+            frames += _capped_bucket_pairs(ids, unit, threshold, bucket_cap, seed)
+        if not frames:
+            return _VEC_PAIRS.empty_table().to_pandas()
+        return pd.concat(frames, ignore_index=True)
+
+    bucketed = emb.map_batches(_bucketed, batch_format="pyarrow", batch_size=1024)
+    pairs = partitioned_map(bucketed, ["bucket"], _pairs)
     # a zero-pair corpus must still yield the (vec_a, vec_b, cosine)
     # schema — a sort over zero emitted blocks loses it entirely
     # (schema() is None), so fall back to the typed empty table
-    empty = ray.data.from_arrow(
-        pa.table(
-            {
-                "vec_a": pa.array([], pa.int64()),
-                "vec_b": pa.array([], pa.int64()),
-                "cosine": pa.array([], pa.float64()),
-            }
-        )
-    )
-    return _schema_stable(empty.union(pairs).sort(["vec_a", "vec_b"]), empty)
+    empty = ray.data.from_arrow(_VEC_PAIRS.empty_table())
+    return _schema_stable(pairs.sort(["vec_a", "vec_b"]), empty)
 
 
 def embedding_neardup_exact(
     sf_dir: str, threshold: float = 0.5
 ) -> ray.data.Dataset:
     """Exact all-pairs cosine near-dup — the oracle BASELINE (same role as
-    brute-force ANN): the normalized corpus matrix is broadcast once via
-    ``ray.put`` and each batch does one matmul against it. O(n²) compute
+    brute-force ANN): the normalized corpus matrix is broadcast once (the
+    per-batch task closes over it) and each batch does one matmul against
+    it. O(n²) compute
     but O(n·dim) memory; the LSH variant above is the at-scale path.
     Emits id pairs only (vec_a < vec_b) — cosine values are float-impl-
     dependent across engines, ranks/membership are not (threshold sits in
     a wide margin of the data)."""
-    import ray as _ray
-
     from rika_ray.sources.parquet import read_parquet_clean
 
     emb = read_parquet_clean(f"{sf_dir}/embeddings.parquet")
@@ -1015,28 +929,21 @@ def embedding_neardup_exact(
             f"embedding_neardup_exact is the O(n²) oracle baseline; "
             f"{n_vecs} vectors needs the LSH path (embedding_neardup_pairs)"
         )
-    all_tbl = pa.concat_tables(_ray.get(emb.to_arrow_refs()))
+    all_tbl = pa.concat_tables(ray.get(emb.to_arrow_refs()))
     mat = unit_rows(embedding_matrix(all_tbl["embedding"]))
     ids_all = all_tbl["vec_id"].to_numpy().astype(np.int64)
-    mat_ref = _ray.put((ids_all, mat))
 
-    class ExactPairs:
-        def __init__(self):
-            self.ids_all, self.mat = _ray.get(mat_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            vecs = unit_rows(embedding_matrix(batch["embedding"]))
-            sim = vecs @ self.mat.T  # (batch, n)
-            ids_b = batch["vec_id"].to_numpy().astype(np.int64)
-            ii, jj = np.where(
-                (sim >= threshold) & (ids_b[:, None] < self.ids_all[None, :])
-            )
-            return pa.table(
-                {
-                    "vec_a": pa.array(ids_b[ii], pa.int64()),
-                    "vec_b": pa.array(self.ids_all[jj], pa.int64()),
-                }
-            )
+    def _exact_pairs(batch: pa.Table) -> pa.Table:
+        vecs = unit_rows(embedding_matrix(batch["embedding"]))
+        sim = vecs @ mat.T  # (batch, n)
+        ids_b = batch["vec_id"].to_numpy().astype(np.int64)
+        ii, jj = np.where((sim >= threshold) & (ids_b[:, None] < ids_all[None, :]))
+        return pa.table(
+            {
+                "vec_a": pa.array(ids_b[ii], pa.int64()),
+                "vec_b": pa.array(ids_all[jj], pa.int64()),
+            }
+        )
 
     empty = ray.data.from_arrow(
         pa.table(
@@ -1046,13 +953,7 @@ def embedding_neardup_exact(
             }
         )
     )
-    pairs = emb.map_batches(
-        ExactPairs,
-        batch_format="pyarrow",
-        batch_size=2048,
-        concurrency=pool_spec(),
-        num_cpus=0.5,
-    )
+    pairs = emb.map_batches(_exact_pairs, batch_format="pyarrow", batch_size=2048)
     return _schema_stable(empty.union(pairs).sort(["vec_a", "vec_b"]), empty)
 
 
@@ -1074,10 +975,10 @@ def neardup_clusters(
     exactly one canonical document (keep ``doc_id == cluster_id``).
 
     Scale shape: the edge list is the collision-bounded pair set (result-
-    sized, not corpus-sized). Each round is one hash join (labels reach
-    neighbors) + one groupby-min — all hash-partitioned; the driver sees
-    only the scalar label-sum used for the fixpoint test. Min-label
-    propagation converges in O(component diameter) rounds; near-dup
+    sized, not corpus-sized). Each round is one join (labels reach
+    neighbors) + one min aggregate, both on the bounded partition key;
+    the driver sees only the scalar label-sum used for the fixpoint test.
+    Min-label propagation converges in O(component diameter) rounds; near-dup
     components are shallow (dup groups, not social graphs), and
     ``max_rounds`` bounds the degenerate case. Labels are materialized
     per round so the lazy plan doesn't re-execute the whole chain each
@@ -1095,18 +996,7 @@ def neardup_clusters(
         )
 
     edges = pairs.map_batches(_sym, batch_format="pyarrow").materialize()
-
-    def _self_label(batch: pa.Table) -> pa.Table:
-        return pa.table({"lnode": batch["node"], "label": batch["node"]})
-
-    labels = (
-        edges.map_batches(_self_label, batch_format="pyarrow")
-        .groupby("lnode")
-        .aggregate(Min("label", alias_name="label"))
-        .materialize()
-    )
-    n_labels = labels.count()  # constant across rounds (one row per node)
-    if n_labels == 0:
+    if _is_empty(edges):
         return ray.data.from_arrow(
             pa.table(
                 {
@@ -1115,25 +1005,24 @@ def neardup_clusters(
                 }
             )
         )
-    # clamped: unclamped max(4, cluster_cpus()) on the ~result-sized label
-    # table produced empty right-side partitions that lose their schema and
-    # crash the join finalize at num_cpus=32 (round-3 CORRECTNESS error)
-    nparts = join_parts(n_labels)
+
+    def _min_label(ds: ray.data.Dataset) -> ray.data.Dataset:
+        return partitioned_aggregate(
+            ds, ["lnode"], [("label", "min", "label")]
+        ).materialize()
+
+    def _self_label(batch: pa.Table) -> pa.Table:
+        return pa.table({"lnode": batch["node"], "label": batch["node"]})
+
+    def _as_label(batch: pa.Table) -> pa.Table:
+        return pa.table({"lnode": batch["node"], "label": batch["label"]})
+
+    labels = _min_label(edges.map_batches(_self_label, batch_format="pyarrow"))
     prev_sum = labels.sum("label")
     for _ in range(max_rounds):
-        prop = edges.join(
-            labels, "inner", num_partitions=nparts,
-            on=("nbr",), right_on=("lnode",),
-        )
-
-        def _as_label(batch: pa.Table) -> pa.Table:
-            return pa.table({"lnode": batch["node"], "label": batch["label"]})
-
-        new_labels = (
+        prop = partitioned_join(edges, labels, ["nbr"], ["lnode"], "inner")
+        new_labels = _min_label(
             labels.union(prop.map_batches(_as_label, batch_format="pyarrow"))
-            .groupby("lnode")
-            .aggregate(Min("label", alias_name="label"))
-            .materialize()
         )
         new_sum = new_labels.sum("label")
         labels = new_labels

@@ -1,7 +1,7 @@
 """Multimodal column plumbing (task brief "Multimodal columns" block).
 
 Images/audio/video ride through the engine as opaque ``large_binary``
-columns with typed metadata. The Ray-side plumbing — schemas, actor-pool
+columns with typed metadata. The Ray-side plumbing — schemas, per-batch
 stage signatures, small batch sizes for fat binary rows, output layout —
 AND the codec step are real (``rika_ray.stages.codecs``, pure
 Python/numpy from the public format specs); only the entropy codings
@@ -22,10 +22,11 @@ video) keep a clearly-marked deterministic stub:
 - resize / feature-extract / frame-sample are REAL numpy math over the
   decoded arrays (they work identically on stub or real frames).
 
-Scale notes: decode stages are actor pools with ``batch_size`` sized for
-multi-MB payloads; decoded pixels are emitted as fixed-shape
-``large_list<uint8>`` + shape columns so Arrow keeps them off the Python
-heap.
+Scale notes: each decode stage is built once where the plan is made and
+runs as plain tasks (no standing actor reservation, so the pipelines run
+on any cluster down to one CPU), with ``batch_size`` sized for multi-MB
+payloads; decoded pixels are emitted as fixed-shape ``large_list<uint8>``
++ shape columns so Arrow keeps them off the Python heap.
 """
 
 from __future__ import annotations
@@ -52,8 +53,10 @@ except ImportError:
 
 
 def decode_image(payload: bytes) -> tuple[np.ndarray, str]:
-    """(pixels HxWx3 uint8, format). Header dims are parsed for real; the
-    pixel decode is the stubbed step (see module docstring)."""
+    """(pixels HxWx3 uint8, format). Header dims are parsed first, so a
+    non-image fails with the typed error; then every supported raster
+    format is decoded for real (PIL when importable, else the pure-numpy
+    codecs of ``rika_ray.stages.codecs``)."""
     from rika_ray.stages.image_meta import (
         bmp_dimensions,
         ico_dimensions,
@@ -120,7 +123,7 @@ def image_features(pixels: np.ndarray, n_bins: int = 8) -> np.ndarray:
 
 
 class ImageDecodeStage:
-    """Actor-pool stage: web_pages-shaped batch → decoded image rows
+    """Per-batch stage: web_pages-shaped batch → decoded image rows
     (url, height, width, format, pixels, shape). Non-image / corrupt rows
     get error columns; nothing raises (§2.8)."""
 
@@ -181,7 +184,7 @@ class ImageDecodeStage:
 
 
 class ImageFeatureStage:
-    """Actor-pool stage: decoded image rows → feature vectors
+    """Per-batch stage: decoded image rows → feature vectors
     (list<float32>), ANN-ready."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -211,16 +214,19 @@ class ImageFeatureStage:
 def image_feature_pipeline(
     web_pages: ray.data.Dataset,
     target_size: tuple[int, int] | None = (32, 32),
-    concurrency: int | tuple[int, int] | None = None,
 ) -> ray.data.Dataset:
     """web_pages → image rows only → decode(+resize) → features.
 
     batch_size is small (32) because decoded pixel rows are fat; the filter
-    happens BEFORE decode so non-image documents never enter the pool."""
-    from rika_ray.pool import pool_spec
+    happens BEFORE decode so non-image documents never reach the decoder."""
+    decoder = ImageDecodeStage(target_size)
+    featurizer = ImageFeatureStage()
 
-    if concurrency is None:
-        concurrency = pool_spec()
+    def _decode(batch: pa.Table) -> pa.Table:
+        return decoder(batch)
+
+    def _features(batch: pa.Table) -> pa.Table:
+        return featurizer(batch)
 
     def _only_images(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -242,21 +248,8 @@ def image_feature_pipeline(
 
     return (
         web_pages.map_batches(_only_images, batch_format="pyarrow")
-        .map_batches(
-            ImageDecodeStage,
-            batch_format="pyarrow",
-            batch_size=32,
-            concurrency=concurrency,
-            num_cpus=0.5,
-            fn_constructor_kwargs={"target_size": target_size},
-        )
-        .map_batches(
-            ImageFeatureStage,
-            batch_format="pyarrow",
-            batch_size=32,
-            concurrency=concurrency,
-            num_cpus=0.5,
-        )
+        .map_batches(_decode, batch_format="pyarrow", batch_size=32)
+        .map_batches(_features, batch_format="pyarrow", batch_size=32)
     )
 
 
@@ -301,7 +294,7 @@ def frame_sample(
 
 
 class AudioFrameStage:
-    """Actor-pool stage: binary audio rows → sniffed format + per-row
+    """Per-batch stage: binary audio rows → sniffed format + per-row
     frame count + frame energy summary (REAL math over the decoded PCM —
     real decode for WAV/FLAC, stub for MP3/Vorbis). Corrupt rows become
     error rows (§2.8), like ``ImageDecodeStage``."""
@@ -333,17 +326,14 @@ class AudioFrameStage:
         )
 
 
-def audio_frame_pipeline(
-    web_pages: ray.data.Dataset,
-    concurrency: int | tuple[int, int] | None = None,
-) -> ray.data.Dataset:
+def audio_frame_pipeline(web_pages: ray.data.Dataset) -> ray.data.Dataset:
     """web_pages → audio rows only → decode → frame-sample features,
     mirroring ``image_feature_pipeline``: the sniff filter runs BEFORE
-    the decode pool so non-audio documents never enter it."""
-    from rika_ray.pool import pool_spec
+    the decoder so non-audio documents never reach it."""
+    framer = AudioFrameStage()
 
-    if concurrency is None:
-        concurrency = pool_spec()
+    def _frames(batch: pa.Table) -> pa.Table:
+        return framer(batch)
 
     def _only_audio(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -356,14 +346,8 @@ def audio_frame_pipeline(
         ]
         return batch.filter(pa.array(keep, pa.bool_()))
 
-    return web_pages.map_batches(
-        _only_audio, batch_format="pyarrow"
-    ).map_batches(
-        AudioFrameStage,
-        batch_format="pyarrow",
-        batch_size=32,
-        concurrency=concurrency,
-        num_cpus=0.5,
+    return web_pages.map_batches(_only_audio, batch_format="pyarrow").map_batches(
+        _frames, batch_format="pyarrow", batch_size=32
     )
 
 
@@ -420,7 +404,7 @@ def decode_video_frames(
 
 
 class VideoFrameStage:
-    """Actor-pool stage: binary video rows → sampled-frame count + a
+    """Per-batch stage: binary video rows → sampled-frame count + a
     per-video feature vector (mean of per-frame image features — REAL
     numpy math; REAL frames for MJPEG AVI, stub frames elsewhere).
     Corrupt rows become error rows (§2.8)."""
@@ -489,9 +473,12 @@ def video_frame_pipeline(
     """web_pages → per-video sampled-frame features. batch_size is tiny
     (8): decoded frame stacks are the fattest rows in the engine
     (~166 KB/video at stub size, multi-MB real). ``only_video`` sniffs
-    video/* BEFORE the pool (like the image/audio pipelines); pass False
-    to force arbitrary payloads through the stub path."""
-    from rika_ray.pool import pool_spec
+    video/* BEFORE the decoder (like the image/audio pipelines); pass
+    False to force arbitrary payloads through the stub path."""
+    sampler = VideoFrameStage(every, max_frames)
+
+    def _sampled(batch: pa.Table) -> pa.Table:
+        return sampler(batch)
 
     if only_video:
         def _only_video(batch: pa.Table) -> pa.Table:
@@ -506,11 +493,4 @@ def video_frame_pipeline(
             return batch.filter(pa.array(keep, pa.bool_()))
 
         web_pages = web_pages.map_batches(_only_video, batch_format="pyarrow")
-    return web_pages.map_batches(
-        VideoFrameStage,
-        batch_format="pyarrow",
-        batch_size=8,
-        concurrency=pool_spec(),
-        num_cpus=0.5,
-        fn_constructor_kwargs={"every": every, "max_frames": max_frames},
-    )
+    return web_pages.map_batches(_sampled, batch_format="pyarrow", batch_size=8)

@@ -11,22 +11,30 @@ Scale notes baked into every implementation:
   shuffle's cost does not follow the key cardinality (Ray's own
   ``groupby(key)`` made ``top_parts_by_quantity`` over 150k lineitem rows
   and 5k part keys take ~1.9 s at 1 CPU; here it takes ~0.35 s),
-- small-side joins broadcast via ``ray.put`` + per-batch lookup instead of
-  an all-to-all shuffle join.
+- small-side joins broadcast: the small side becomes a dict that the
+  plain per-batch lookup task closes over, instead of an all-to-all
+  shuffle join,
+- joins of two large sides run on ``aggregate.partitioned_join``: both
+  sides shuffled together on the same bounded partition key, one Arrow
+  hash join per block.
+
+No stage holds a standing reservation: every map is a plain task, so the
+plans run on any cluster down to one CPU.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray
 import ray.data
 
 from rika_ray.functions.text import tokenize_arrow
-from rika_ray.pipelines.aggregate import partitioned_aggregate, partitioned_map
-from rika_ray.pool import join_parts, pool_spec
+from rika_ray.pipelines.aggregate import (
+    partitioned_aggregate,
+    partitioned_join,
+    partitioned_map,
+)
 
 
 def _rp(sf_dir: str, table: str, columns: list[str] | None = None):
@@ -162,31 +170,24 @@ def orders_priority_tally(sf_dir: str) -> ray.data.Dataset:
 
 
 # ---------------------------------------------------------------------------
-# Broadcast joins (§2.4): small side shipped once via ray.put, looked up
-# per batch — no shuffle of the big side.
+# Broadcast joins (§2.4): the small side is a dict the per-batch task
+# closes over (Ray ships a map's function once) — no shuffle of the big
+# side.
 # ---------------------------------------------------------------------------
 
 
 def orders_per_segment(sf_dir: str) -> ray.data.Dataset:
     """orders ⨝ customer (broadcast) → count per market segment."""
-    cust = (
-        _rp(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
-        .to_pandas()
-    )
-    lookup_ref = ray.put(dict(zip(cust["c_custkey"], cust["c_mktsegment"])))
+    cust = _rp(sf_dir, "customer", ["c_custkey", "c_mktsegment"]).to_pandas()
+    segment_of = dict(zip(cust["c_custkey"], cust["c_mktsegment"]))
 
-    class SegmentJoin:
-        def __init__(self):
-            self.lookup = ray.get(lookup_ref)
-
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            # inner join: an order without a customer drops out
-            seg = batch["o_custkey"].map(self.lookup).dropna()
-            return pd.DataFrame({"c_mktsegment": seg})
+    def _segments(batch: pd.DataFrame) -> pd.DataFrame:
+        # inner join: an order without a customer drops out
+        seg = batch["o_custkey"].map(segment_of).dropna()
+        return pd.DataFrame({"c_mktsegment": seg})
 
     segments = _rp(sf_dir, "orders", ["o_custkey"]).map_batches(
-        SegmentJoin, batch_format="pandas", batch_size=65536,
-        concurrency=pool_spec(), num_cpus=0.5,
+        _segments, batch_format="pandas", batch_size=65536
     )
     return partitioned_aggregate(segments, ["c_mktsegment"], [_COUNT_STAR]).sort(
         "c_mktsegment"
@@ -197,8 +198,8 @@ def supplier_revenue_by_nation(sf_dir: str) -> ray.data.Dataset:
     """lineitem ⨝ supplier ⨝ nation → revenue per nation name.
 
     Scale shape: the two small sides (supplier keys → nation name) are
-    composed driver-side into ONE broadcast dict shipped via ``ray.put``;
-    each lineitem batch is looked up, and the partial sums per batch mean
+    composed driver-side into ONE broadcast dict the lookup task closes
+    over; each lineitem batch is looked up, and the partial sums per batch mean
     the shuffle moves ~25 (nation, partial) rows per batch, never lineitem
     rows. Partitioning assumption: the supplier→nation map fits worker
     memory (supplier is ~1/600 of lineitem rows and 2 ints wide; beyond
@@ -211,26 +212,20 @@ def supplier_revenue_by_nation(sf_dir: str) -> ray.data.Dataset:
         int(k): nation_names[v]
         for k, v in zip(supp["s_suppkey"], supp["s_nationkey"])
     }
-    lookup_ref = ray.put(supp_to_nation)
 
-    class NationRevenue:
-        def __init__(self):
-            self.lookup = ray.get(lookup_ref)
-
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            revenue = batch["l_extendedprice"].to_numpy() * (
-                1.0 - batch["l_discount"].to_numpy()
-            )
-            nname = batch["l_suppkey"].map(self.lookup)
-            # inner join: a line without a supplier drops out
-            return pd.DataFrame({"n_name": nname, "revenue": revenue}).dropna(
-                subset=["n_name"]
-            )
+    def _nation_revenue(batch: pd.DataFrame) -> pd.DataFrame:
+        revenue = batch["l_extendedprice"].to_numpy() * (
+            1.0 - batch["l_discount"].to_numpy()
+        )
+        nname = batch["l_suppkey"].map(supp_to_nation)
+        # inner join: a line without a supplier drops out
+        return pd.DataFrame({"n_name": nname, "revenue": revenue}).dropna(
+            subset=["n_name"]
+        )
 
     lines = _rp(
         sf_dir, "lineitem", ["l_suppkey", "l_extendedprice", "l_discount"]
-    ).map_batches(NationRevenue, batch_format="pandas", batch_size=65536,
-                  concurrency=pool_spec(), num_cpus=0.5)
+    ).map_batches(_nation_revenue, batch_format="pandas", batch_size=65536)
     ds = partitioned_aggregate(lines, ["n_name"], [("revenue", "sum", "revenue")])
 
     def _round(batch: pa.Table) -> pa.Table:
@@ -266,51 +261,28 @@ def top_parts_per_brand(sf_dir: str, k: int = 3) -> ray.data.Dataset:
     Scale shape: an in-batch COMBINER keeps only each batch's local
     per-brand top-k (a batch can never contribute more than k rows per
     brand to the global answer), so the shuffle moves ≤ k × brands ×
-    blocks rows instead of the part table; ``map_groups`` then ranks the
-    surviving ≤ k × blocks rows per brand. Partitioning assumption: the
-    group count (brands) is bounded — for an unbounded key space the
-    combiner still holds, but the final stage's per-group dispatch cost
-    grows with distinct keys (see user_sessions for the partition-id
-    alternative). Ties broken by p_partkey ASC → fully deterministic."""
+    blocks rows instead of the part table; one vectorized pass per
+    partition (``partitioned_map``) then ranks every brand in it at once.
+    Ties broken by p_partkey ASC → fully deterministic."""
 
-    def _partial(batch: pa.Table) -> pa.Table:
-        df = batch.select(
-            ["p_brand", "p_partkey", "p_retailprice"]
-        ).to_pandas()
+    def _top_k(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(
             ["p_brand", "p_retailprice", "p_partkey"],
             ascending=[True, False, True],
         )
-        return pa.Table.from_pandas(
-            df.groupby("p_brand", sort=False).head(k), preserve_index=False
-        )
+        return df.groupby("p_brand", sort=False, dropna=False).head(k)
 
-    def _rank(group: pd.DataFrame) -> pa.Table:
-        g = group.sort_values(
-            ["p_retailprice", "p_partkey"], ascending=[False, True]
-        ).head(k)
-        # pa.Table output: pandas frames unioned with arrow blocks trip
-        # Ray's inferred_block_type assertion at high CPU counts
-        return pa.table(
-            {
-                "p_brand": pa.array(g["p_brand"], pa.string()),
-                "p_partkey": pa.array(g["p_partkey"], pa.int64()),
-                "p_retailprice": pa.array(
-                    g["p_retailprice"], pa.float64()
-                ),
-                "rank": pa.array(
-                    np.arange(1, len(g) + 1), pa.int64()
-                ),
-            }
-        )
+    def _ranked(part: pd.DataFrame) -> pd.DataFrame:
+        top = _top_k(part)
+        rank = top.groupby("p_brand", sort=False, dropna=False).cumcount() + 1
+        return top.assign(rank=rank.astype("int64"))
 
-    return (
-        _rp(sf_dir, "part", ["p_brand", "p_partkey", "p_retailprice"])
-        .map_batches(_partial, batch_format="pyarrow", batch_size=65536)
-        .groupby("p_brand")
-        .map_groups(_rank, batch_format="pandas")
-        .sort(["p_brand", "rank"])
-    )
+    parts = _rp(sf_dir, "part", ["p_brand", "p_partkey", "p_retailprice"])
+    return partitioned_map(
+        parts.map_batches(_top_k, batch_format="pandas", batch_size=65536),
+        ["p_brand"],
+        _ranked,
+    ).sort(["p_brand", "rank"])
 
 
 def customers_per_region(sf_dir: str) -> ray.data.Dataset:
@@ -322,20 +294,15 @@ def customers_per_region(sf_dir: str) -> ray.data.Dataset:
         int(r["n_nationkey"]): region_names[r["n_regionkey"]]
         for _, r in nation.iterrows()
     }
-    lookup_ref = ray.put(nation_to_region)
 
-    class RegionJoin:
-        def __init__(self):
-            self.lookup = ray.get(lookup_ref)
-
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            # inner join: a customer without a nation drops out
-            return pd.DataFrame(
-                {"r_name": batch["c_nationkey"].map(self.lookup).dropna()}
-            )
+    def _regions(batch: pd.DataFrame) -> pd.DataFrame:
+        # inner join: a customer without a nation drops out
+        return pd.DataFrame(
+            {"r_name": batch["c_nationkey"].map(nation_to_region).dropna()}
+        )
 
     regions = _rp(sf_dir, "customer", ["c_nationkey"]).map_batches(
-        RegionJoin, batch_format="pandas", concurrency=pool_spec(), num_cpus=0.5
+        _regions, batch_format="pandas"
     )
     return partitioned_aggregate(regions, ["r_name"], [_COUNT_STAR]).sort("r_name")
 
@@ -351,38 +318,22 @@ def shipping_priority(
 
     Scale shape (round-4 rewrite of a driver-side broadcast — the date
     cutoff keeps most of orders, so the old ``orders.to_pandas()`` was a
-    corpus-scale driver materialization): both joins are distributed HASH
-    joins, same shape as ``returned_items``. The segment filter prunes the
-    customer side in a vectorized batch pass straight off the read; the
-    date-filtered orders join the segment keys; lineitem is shipdate-
-    filtered and aggregated to one row per orderkey BEFORE its join, so
-    the join moves per-order revenue, never lineitem rows. Nothing
-    table-sized is collected into the calling process. Join partition
-    counts clamp by the slim side's materialized count (tiny segment
-    slices on a many-CPU cluster otherwise hit the empty-partition
-    schema-loss crash — see ``pool.join_parts``)."""
+    corpus-scale driver materialization): both joins are distributed
+    ``partitioned_join``s, same shape as ``returned_items``. The segment
+    filter prunes the customer side in a vectorized batch pass straight
+    off the read; the date-filtered orders join the segment keys; lineitem
+    is shipdate-filtered and aggregated to one row per orderkey BEFORE its
+    join, so the join moves per-order revenue, never lineitem rows.
+    Nothing table-sized is collected into the calling process."""
     cutoff_ts = pd.Timestamp(cutoff)
 
     def _seg_keys(batch: pa.Table) -> pa.Table:
         keep = pc.equal(batch["c_mktsegment"], pa.scalar(segment))
         return pa.table({"c_custkey": batch["c_custkey"].filter(keep)})
 
-    cust = (
-        _rp(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
-        .map_batches(_seg_keys, batch_format="pyarrow", batch_size=65536)
-        .materialize()  # slim: one int64 column, segment-selective
+    cust = _rp(sf_dir, "customer", ["c_custkey", "c_mktsegment"]).map_batches(
+        _seg_keys, batch_format="pyarrow", batch_size=65536
     )
-    n_cust = cust.count()
-    if n_cust == 0:
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    "l_orderkey": pa.array([], pa.int64()),
-                    "revenue": pa.array([], pa.float64()),
-                    "o_orderdate": pa.array([], pa.timestamp("us")),
-                }
-            )
-        )
 
     def _dated(batch: pa.Table) -> pa.Table:
         keep = pc.less(batch["o_orderdate"], pa.scalar(cutoff_ts))
@@ -392,25 +343,9 @@ def shipping_priority(
         sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"]
     ).map_batches(_dated, batch_format="pyarrow", batch_size=65536)
 
-    qual = (
-        orders.join(
-            cust, "inner", num_partitions=join_parts(n_cust),
-            on=("o_custkey",), right_on=("c_custkey",),
-        )
-        .select_columns(["o_orderkey", "o_orderdate"])
-        .materialize()  # slim qualifying-order rows, result-bounded side
-    )
-    n_qual = qual.count()
-    if n_qual == 0:
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    "l_orderkey": pa.array([], pa.int64()),
-                    "revenue": pa.array([], pa.float64()),
-                    "o_orderdate": pa.array([], pa.timestamp("us")),
-                }
-            )
-        )
+    qual = partitioned_join(
+        orders, cust, ["o_custkey"], ["c_custkey"], "inner"
+    ).select_columns(["o_orderkey", "o_orderdate"])
 
     def _shipped(batch: pa.Table) -> pa.Table:
         batch = batch.filter(pc.greater(batch["l_shipdate"], pa.scalar(cutoff_ts)))
@@ -427,10 +362,7 @@ def shipping_priority(
         lines, ["l_orderkey"], [("revenue", "sum", "revenue")]
     )
 
-    joined = agg.join(
-        qual, "inner", num_partitions=join_parts(n_qual),
-        on=("l_orderkey",), right_on=("o_orderkey",),
-    )
+    joined = partitioned_join(agg, qual, ["l_orderkey"], ["o_orderkey"], "inner")
 
     def _project(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -701,34 +633,23 @@ def domain_cap_sample(sf_dir: str, k: int = 20) -> ray.data.Dataset:
 
 
 # ---------------------------------------------------------------------------
-# Distributed hash joins (§2.4 at scale): when BOTH sides are too large to
-# broadcast, ``Dataset.join`` hash-partitions both inputs on the key so each
-# partition joins locally — the shuffle-join complement to the ray.put
-# broadcast pattern above.
+# Distributed joins (§2.4 at scale): when BOTH sides are too large to
+# broadcast, ``aggregate.partitioned_join`` shuffles both inputs together
+# on the bounded partition key so each block joins locally — the
+# shuffle-join complement to the broadcast pattern above.
 # ---------------------------------------------------------------------------
-
-
-def _join_partitions() -> int:
-    """Hash-join partition count: ~1 per cluster CPU (each partition join
-    is single-threaded), floor 4 so small clusters still overlap join work
-    with the shuffle."""
-    from rika_ray.pool import cluster_cpus
-
-    return max(4, cluster_cpus())
 
 
 def returned_items(sf_dir: str, k: int = 20) -> ray.data.Dataset:
     """Revenue per customer over RETURNED items (TPC-H Q10 shape):
-    lineitem ⨝ orders ⨝ customer with both joins as distributed HASH
-    joins — neither orders nor customer is broadcast.
+    lineitem ⨝ orders ⨝ customer with both joins as distributed
+    ``partitioned_join``s — neither orders nor customer is broadcast.
 
     Scale shape: lineitem is filtered and pre-aggregated to one row per
     orderkey BEFORE the first join (the join inputs are
     result-cardinality, never lineitem-cardinality); the second join
     input is one row per customer. Doubles rounded to 2dp in both
     engines."""
-    npart = _join_partitions()
-
     li = _rp(
         sf_dir,
         "lineitem",
@@ -747,9 +668,8 @@ def returned_items(sf_dir: str, k: int = 20) -> ray.data.Dataset:
     )
 
     orders = _rp(sf_dir, "orders", ["o_orderkey", "o_custkey"])
-    per_order = li_agg.join(
-        orders, "inner", num_partitions=npart,
-        on=("l_orderkey",), right_on=("o_orderkey",),
+    per_order = partitioned_join(
+        li_agg, orders, ["l_orderkey"], ["o_orderkey"], "inner"
     )
 
     cust_rev = partitioned_aggregate(
@@ -757,10 +677,7 @@ def returned_items(sf_dir: str, k: int = 20) -> ray.data.Dataset:
     )
 
     cust = _rp(sf_dir, "customer", ["c_custkey", "c_name"])
-    joined = cust_rev.join(
-        cust, "inner", num_partitions=npart,
-        on=("o_custkey",), right_on=("c_custkey",),
-    )
+    joined = partitioned_join(cust_rev, cust, ["o_custkey"], ["c_custkey"], "inner")
 
     def _project(batch: pa.Table) -> pa.Table:
         # the join coalesces the key pair under the LEFT name — restore the
@@ -852,14 +769,13 @@ def part_type_stats(sf_dir: str) -> ray.data.Dataset:
 
 def customers_without_urgent_orders(sf_dir: str) -> ray.data.Dataset:
     """Customers that never placed a 1-URGENT order — the distributed
-    ANTI-join shape (NOT EXISTS). ``left_anti`` hash-partitions both sides
-    on the key and keeps left rows with no match; the right side is
-    filtered at the read and ships only its key column."""
+    ANTI-join shape (NOT EXISTS). ``left_anti`` shuffles both sides on
+    the key's partition and keeps left rows with no match; the right side
+    is filtered at the read and ships only its key column."""
     cust = _rp(sf_dir, "customer", ["c_custkey", "c_name"])
     urgent_keys = _rp(sf_dir, "orders", ["o_custkey", "o_orderpriority"]).filter(
         expr="o_orderpriority == '1-URGENT'"
     ).select_columns(["o_custkey"])
-    return cust.join(
-        urgent_keys, "left_anti", num_partitions=_join_partitions(),
-        on=("c_custkey",), right_on=("o_custkey",),
+    return partitioned_join(
+        cust, urgent_keys, ["c_custkey"], ["o_custkey"], "left_anti"
     ).sort("c_custkey")

@@ -4,10 +4,11 @@ approximate scale paths — a multi-table hyperplane-LSH variant and an
 IVF (inverted-file / coarse-quantizer) variant.
 
 Scale pattern: the query matrix (and for IVF, the small centroid matrix)
-is broadcast (``ray.put`` once, read in each actor's ``__init__``); each
-batch computes a vectorized numpy matmul and emits only its local top-k
-candidates — the driver-side final reduce sees ``k × n_batches`` rows,
-never the corpus.
+is broadcast (the per-batch task closes over it; Ray ships a map's
+function once); each batch computes a vectorized numpy matmul and emits
+only its local top-k candidates — the final reduce
+(``aggregate.partitioned_map`` on the query id) sees ``k × n_batches``
+rows per query, never the corpus.
 
 IVF at 100 TB: centroids are trained on a SAMPLE (one bounded
 ``random_sample`` pass), the corpus is assigned to cells in one
@@ -21,11 +22,10 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import ray
 import ray.data
 
 from rika_ray.functions.vectors import embedding_matrix, unit_rows
-from rika_ray.pool import pool_spec
+from rika_ray.pipelines.aggregate import partitioned_map
 
 # Every candidate stage emits this exact schema (even for an empty batch):
 # per-batch schema inference over Python-object frames is what produced
@@ -46,6 +46,20 @@ def _candidate_table(chunks: list[tuple[int, np.ndarray, np.ndarray]]) -> pa.Tab
     s = np.concatenate([sims.astype(np.float64) for _, _, sims in chunks])
     return pa.table(
         {"query_id": q, "vec_id": v, "sim": s}, schema=_SIM_SCHEMA
+    )
+
+
+def _top_k_per_query(candidates: ray.data.Dataset, k: int) -> ray.data.Dataset:
+    """The exact final top-k per query over the small candidate set."""
+
+    def _final(df: pd.DataFrame) -> pd.DataFrame:
+        df = df.sort_values(["sim", "vec_id"], ascending=[False, True])
+        return df.groupby("query_id", group_keys=False).head(k)[
+            ["query_id", "vec_id"]
+        ].astype("int64")
+
+    return partitioned_map(candidates, ["query_id"], _final).sort(
+        ["query_id", "vec_id"]
     )
 
 
@@ -71,44 +85,24 @@ def ann_topk_bruteforce(
 ) -> ray.data.Dataset:
     """Exact cosine top-k per query vector. Per-batch local top-k, final
     exact reduce over the small candidate set."""
-    queries = _query_matrix(sf_dir, list(query_ids))
-    q_ref = ray.put(queries)
+    queries = _query_matrix(sf_dir, list(query_ids))  # (n_q, dim), unit
     qids = list(query_ids)
 
-    class LocalTopK:
-        def __init__(self):
-            self.q = ray.get(q_ref)  # (n_q, dim), unit-normalized
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            unit = unit_rows(embedding_matrix(batch["embedding"]))
-            sims = unit @ self.q.T  # (n, n_q)
-            ids = batch["vec_id"].to_numpy()
-            chunks = []
-            for qi, qid in enumerate(qids):
-                col = sims[:, qi]
-                top = np.argsort(-col, kind="stable")[:k]
-                chunks.append((qid, ids[top], col[top]))
-            return _candidate_table(chunks)
+    def _local_top_k(batch: pa.Table) -> pa.Table:
+        unit = unit_rows(embedding_matrix(batch["embedding"]))
+        sims = unit @ queries.T  # (n, n_q)
+        ids = batch["vec_id"].to_numpy()
+        chunks = []
+        for qi, qid in enumerate(qids):
+            col = sims[:, qi]
+            top = np.argsort(-col, kind="stable")[:k]
+            chunks.append((qid, ids[top], col[top]))
+        return _candidate_table(chunks)
 
     candidates = _embeddings(sf_dir).map_batches(
-        LocalTopK, batch_format="pyarrow", batch_size=4096,
-        concurrency=pool_spec(), num_cpus=0.5
+        _local_top_k, batch_format="pyarrow", batch_size=4096
     )
-
-    def _final(df: pd.DataFrame) -> pd.DataFrame:
-        # exact final top-k per query over the tiny candidate set
-        df = df.sort_values(["sim", "vec_id"], ascending=[False, True])
-        return df.groupby("query_id", group_keys=False).head(k)[
-            ["query_id", "vec_id"]
-        ].astype("int64")
-
-    return (
-        candidates.groupby("query_id")
-        .map_groups(
-            lambda g: _final(g), batch_format="pandas"
-        )
-        .sort(["query_id", "vec_id"])
-    )
+    return _top_k_per_query(candidates, k)
 
 
 def ann_topk_lsh(
@@ -143,54 +137,32 @@ def ann_topk_lsh(
                 probes.add(int(qb) ^ (1 << bit))
             table_probes.append(probes)
         probe_sets.append(table_probes)
-    q_ref = ray.put((queries, planes, probe_sets))
     qids = list(query_ids)
 
-    class BucketTopK:
-        def __init__(self):
-            self.q, self.planes, self.probes = ray.get(q_ref)
-            self.powers = 1 << np.arange(self.planes.shape[2])
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            vecs = embedding_matrix(batch["embedding"])
-            unit = unit_rows(vecs)
-            n_tab = self.planes.shape[0]
-            buckets = np.stack(
-                [
-                    ((vecs @ self.planes[t]) > 0) @ self.powers
-                    for t in range(n_tab)
-                ]
-            )  # (n_tables, n)
-            ids = batch["vec_id"].to_numpy()
-            chunks = []
-            for qi, qid in enumerate(qids):
-                mask = np.zeros(len(ids), dtype=bool)
-                for t in range(n_tab):
-                    mask |= np.isin(
-                        buckets[t], list(self.probes[t][qi])
-                    )
-                if not mask.any():
-                    continue
-                sims = unit[mask] @ self.q[qi]
-                sub_ids = ids[mask]
-                top = np.argsort(-sims, kind="stable")[:k]
-                chunks.append((qid, sub_ids[top], sims[top]))
-            return _candidate_table(chunks)
+    def _bucket_top_k(batch: pa.Table) -> pa.Table:
+        vecs = embedding_matrix(batch["embedding"])
+        unit = unit_rows(vecs)
+        buckets = np.stack(
+            [((vecs @ planes[t]) > 0) @ powers for t in range(n_tables)]
+        )  # (n_tables, n)
+        ids = batch["vec_id"].to_numpy()
+        chunks = []
+        for qi, qid in enumerate(qids):
+            mask = np.zeros(len(ids), dtype=bool)
+            for t in range(n_tables):
+                mask |= np.isin(buckets[t], list(probe_sets[t][qi]))
+            if not mask.any():
+                continue
+            sims = unit[mask] @ queries[qi]
+            sub_ids = ids[mask]
+            top = np.argsort(-sims, kind="stable")[:k]
+            chunks.append((qid, sub_ids[top], sims[top]))
+        return _candidate_table(chunks)
 
     candidates = _embeddings(sf_dir).map_batches(
-        BucketTopK, batch_format="pyarrow", batch_size=4096,
-        concurrency=pool_spec(), num_cpus=0.5
+        _bucket_top_k, batch_format="pyarrow", batch_size=4096
     )
-
-    def _final(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["sim", "vec_id"], ascending=[False, True])
-        return g.head(k)[["query_id", "vec_id"]].astype("int64")
-
-    return (
-        candidates.groupby("query_id")
-        .map_groups(_final, batch_format="pandas")
-        .sort(["query_id", "vec_id"])
-    )
+    return _top_k_per_query(candidates, k)
 
 
 def _bounded_training_sample(
@@ -210,9 +182,6 @@ def _bounded_training_sample(
     threshold), not ``random_sample``: Ray's per-task sampling RNG varies
     with dynamic block splitting, which made the trained centroids — and
     therefore IVF's approximate results — differ run to run under load."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
     from rika_ray.functions.text import mix64
 
     n = emb.count()
@@ -292,39 +261,24 @@ def ann_topk_ivf(
     cent = _train_centroids(sf_dir, n_cells, seed)
     # per-query probe cells (tiny: n_q × n_probe ints)
     probe_cells = np.argsort(-(queries @ cent.T), axis=1)[:, :n_probe]
-    q_ref = ray.put((queries, cent, probe_cells))
     qids = list(query_ids)
 
-    class CellTopK:
-        def __init__(self):
-            self.q, self.cent, self.probe = ray.get(q_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            unit = unit_rows(embedding_matrix(batch["embedding"]))
-            cells = np.argmax(unit @ self.cent.T, axis=1)
-            ids = batch["vec_id"].to_numpy()
-            chunks = []
-            for qi, qid in enumerate(qids):
-                mask = np.isin(cells, self.probe[qi])
-                if not mask.any():
-                    continue
-                sims = unit[mask] @ self.q[qi]
-                sub_ids = ids[mask]
-                top = np.argsort(-sims, kind="stable")[:k]
-                chunks.append((qid, sub_ids[top], sims[top]))
-            return _candidate_table(chunks)
+    def _cell_top_k(batch: pa.Table) -> pa.Table:
+        unit = unit_rows(embedding_matrix(batch["embedding"]))
+        cells = np.argmax(unit @ cent.T, axis=1)
+        ids = batch["vec_id"].to_numpy()
+        chunks = []
+        for qi, qid in enumerate(qids):
+            mask = np.isin(cells, probe_cells[qi])
+            if not mask.any():
+                continue
+            sims = unit[mask] @ queries[qi]
+            sub_ids = ids[mask]
+            top = np.argsort(-sims, kind="stable")[:k]
+            chunks.append((qid, sub_ids[top], sims[top]))
+        return _candidate_table(chunks)
 
     candidates = _embeddings(sf_dir).map_batches(
-        CellTopK, batch_format="pyarrow", batch_size=4096,
-        concurrency=pool_spec(), num_cpus=0.5
+        _cell_top_k, batch_format="pyarrow", batch_size=4096
     )
-
-    def _final(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["sim", "vec_id"], ascending=[False, True])
-        return g.head(k)[["query_id", "vec_id"]].astype("int64")
-
-    return (
-        candidates.groupby("query_id")
-        .map_groups(_final, batch_format="pandas")
-        .sort(["query_id", "vec_id"])
-    )
+    return _top_k_per_query(candidates, k)

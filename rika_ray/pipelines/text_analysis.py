@@ -19,7 +19,6 @@ from rika_ray.functions.text import (
     tokenize,
     tokenize_arrow,
 )
-from rika_ray.pool import pool_spec
 
 
 def _docs(sf_dir: str, columns):
@@ -101,7 +100,7 @@ _ALPHA_RE = r"\pL"
 
 
 class QualityScorer:
-    """Actor-pool stage: per-document quality features (length, punctuation
+    """Per-batch stage: per-document quality features (length, punctuation
     ratio, stopword ratio, mean word length, alpha ratio) — the standard
     heuristic pre-filters for web-scale training corpora.
 
@@ -203,12 +202,14 @@ class QualityScorer:
 
 
 def quality_scores(sf_dir: str) -> ray.data.Dataset:
+    scorer = QualityScorer()
+
+    def _scores(batch: pa.Table) -> pa.Table:
+        return scorer(batch)
+
     return (
         _docs(sf_dir, ["doc_id", "text"])
-        .map_batches(
-            QualityScorer, batch_format="pyarrow", batch_size=1024,
-            concurrency=pool_spec(), num_cpus=0.5,
-        )
+        .map_batches(_scores, batch_format="pyarrow", batch_size=1024)
         .sort("doc_id")
     )
 
@@ -218,20 +219,17 @@ def lang_id(sf_dir: str) -> ray.data.Dataset:
     applied as a standalone operator; rows-only — model-driven)."""
     from rika_ray.stages.lang import LangDetectStage
 
-    def _prep(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {"doc_id": batch["doc_id"], "content": batch["text"]}
-        )
+    detector = LangDetectStage()
 
-    ds = (
+    def _detect(batch: pa.Table) -> pa.Table:
+        out = detector(pa.table({"doc_id": batch["doc_id"], "content": batch["text"]}))
+        return out.select(["doc_id", "language"])
+
+    return (
         _docs(sf_dir, ["doc_id", "text"])
-        .map_batches(_prep, batch_format="pyarrow")
-        .map_batches(
-            LangDetectStage, batch_format="pyarrow", batch_size=1024,
-            concurrency=pool_spec(), num_cpus=0.5,
-        )
+        .map_batches(_detect, batch_format="pyarrow", batch_size=1024)
+        .sort("doc_id")
     )
-    return ds.select_columns(["doc_id", "language"]).sort("doc_id")
 
 
 def quality_filter(sf_dir: str, min_words: int = 50) -> ray.data.Dataset:

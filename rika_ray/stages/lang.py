@@ -552,7 +552,7 @@ def detect_language(
 
 class LangDetectStage:
     """`map_batches` callable (a fused-kernel stage, and the ``lang_id``
-    actor pool): adds a `language` column from `content`. Profiles are
+    task): adds a `language` column from `content`. Profiles are
     built once per instance in __init__ (T1)."""
 
     def __init__(self) -> None:

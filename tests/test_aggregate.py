@@ -1,4 +1,5 @@
-"""``partitioned_aggregate`` against the same aggregate in one process.
+"""``partitioned_aggregate``, ``partitioned_map`` and ``partitioned_join``
+against the same query in one process.
 
 The inputs hold 100,000 rows in two blocks, so the same key reaches the
 combine from more than one partial; at the testdata scales every table is
@@ -19,6 +20,7 @@ import pytest
 from rika_ray.pipelines.aggregate import (
     partition_count,
     partitioned_aggregate,
+    partitioned_join,
     partitioned_map,
 )
 
@@ -167,3 +169,101 @@ def test_partitioned_map_sees_every_row_of_a_key_once(ray_session):
     # the same call
     assert len(got) == len(exp) == 27
     assert sorted(got["rows"]) == sorted(exp["n"])
+
+
+def _join_sides(n_left: int = 20_000, n_right: int = 2_000) -> tuple:
+    """(left, right): a two-column key with nulls on both sides, many rows
+    per key on both sides, binary payloads, and a payload column named
+    ``shared`` on both sides."""
+
+    def _side(n: int, salt: int, names: tuple[str, str]) -> dict:
+        i = np.arange(n) * salt
+        return {
+            names[0]: pa.array(
+                [None if j % 29 == 0 else chr(97 + j % 26) for j in i], pa.string()
+            ),
+            names[1]: pa.array(i % 40, pa.int64(), mask=(i % 23 == 0)),
+            "shared": pa.array(np.arange(n) + salt * 1_000_000, pa.int64()),
+            f"blob{salt}": pa.array(
+                [int(j).to_bytes(8, "little") for j in i], pa.binary()
+            ),
+        }
+
+    left = pa.table({**_side(n_left, 1, ("k1", "k2")), "v": np.arange(n_left) * 0.5})
+    return left, pa.table(_side(n_right, 3, ("rk1", "rk2")))
+
+
+def _join_reference(left: pa.Table, right: pa.Table, how: str) -> pa.Table:
+    import duckdb
+
+    con = duckdb.connect()
+    con.register("l", left)
+    con.register("r", right)
+    on = "l.k1 = r.rk1 AND l.k2 = r.rk2"
+    if how == "inner":
+        return con.execute(
+            "SELECT l.*, r.shared AS shared_right, r.blob3 "
+            f"FROM l JOIN r ON {on}"
+        ).arrow()
+    return con.execute(
+        f"SELECT * FROM l WHERE NOT EXISTS (SELECT 1 FROM r WHERE {on})"
+    ).arrow()
+
+
+def _rows(t: pa.Table) -> list:
+    return sorted(map(tuple, zip(*t.to_pydict().values())), key=repr)
+
+
+@pytest.mark.parametrize("how", ["inner", "left_anti"])
+def test_join_matches_duckdb(ray_session, how):
+    left, right = _join_sides()
+    keys, rkeys = ["k1", "k2"], ["rk1", "rk2"]
+    _, got = _run(partitioned_join(_ds(left), _ds(right), keys, rkeys, how))
+    exp = _join_reference(left, right, how)
+    assert got.column_names == exp.column_names
+    assert got.num_rows == exp.num_rows > 0
+    assert _rows(got) == _rows(exp)
+    if how == "left_anti":
+        # null keys match nothing: every left row with a null key survives
+        nulls = pc.or_(pc.is_null(left["k1"]), pc.is_null(left["k2"]))
+        assert pc.sum(pc.or_(pc.is_null(got["k1"]), pc.is_null(got["k2"]))).as_py() == (
+            pc.sum(nulls).as_py()
+        )
+
+
+def test_join_on_same_named_keys(ray_session):
+    """A self-join: both sides name their keys alike, the keys come out
+    once and the other shared names get the suffix."""
+    left, _ = _join_sides(4_000)
+    _, got = _run(
+        partitioned_join(_ds(left), _ds(left), ["k1", "k2"], ["k1", "k2"], "inner")
+    )
+    assert got.column_names == [
+        "k1", "k2", "shared", "blob1", "v", "shared_right", "blob1_right", "v_right"
+    ]
+    import duckdb
+
+    con = duckdb.connect()
+    con.register("l", left)
+    (n,) = con.execute(
+        "SELECT COUNT(*) FROM l a JOIN l b ON a.k1 = b.k1 AND a.k2 = b.k2"
+    ).fetchone()
+    assert got.num_rows == n
+
+
+@pytest.mark.parametrize("how", ["inner", "left_anti"])
+def test_join_with_a_zero_row_side(ray_session, how):
+    left, right = _join_sides(5_000, 500)
+    keys, rkeys = ["k1", "k2"], ["rk1", "rk2"]
+    for lt, rt in ((left.slice(0, 0), right), (left, right.slice(0, 0))):
+        out = partitioned_join(_ds(lt), _ds(rt), keys, rkeys, how)
+        _, got = _run(out)
+        exp = _join_reference(lt, rt, how)
+        assert _rows(got) == _rows(exp)
+        if got.num_rows == 0:
+            # a side known to be empty: the empty answer keeps its columns
+            assert out.schema().names == exp.column_names
+    # a side that turns out empty only when it runs
+    emptied = _ds(right).filter(expr="rk2 < 0")
+    _, got = _run(partitioned_join(_ds(left), emptied, keys, rkeys, how))
+    assert _rows(got) == _rows(_join_reference(left, right.slice(0, 0), how))

@@ -374,3 +374,29 @@ def test_simhash_neardup_pairs_planted(
                 a, b = sorted((ids[i], ids[j]))
                 exp[(a, b)] = h
     assert got == exp
+
+
+@pytest.mark.parametrize("texts", [[], ["red green blue", "one two three four", "x"]])
+def test_pair_operators_without_pairs_keep_their_columns(ray_session, tmp_path, texts):
+    """An empty corpus and one without near-dups: every pair operator
+    returns zero rows under its own columns."""
+    from rika_ray.pipelines.dedup import neardup_clusters, simhash_neardup_pairs
+
+    pq.write_table(
+        pa.table(
+            {
+                "doc_id": pa.array(range(len(texts)), pa.int64()),
+                "text": pa.array(texts, pa.string()),
+            }
+        ),
+        tmp_path / "documents.parquet",
+    )
+    for fn, cols in [
+        (minhash_lsh_pairs, ["doc_a", "doc_b", "est_jaccard"]),
+        (verify_jaccard_pairs, ["doc_a", "doc_b", "jaccard"]),
+        (neardup_clusters, ["doc_id", "cluster_id"]),
+        (simhash_neardup_pairs, ["doc_a", "doc_b", "hamming"]),
+    ]:
+        out = fn(str(tmp_path))
+        assert out.count() == 0, fn.__name__
+        assert out.schema().names == cols, fn.__name__

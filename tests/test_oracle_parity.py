@@ -114,6 +114,7 @@ def test_query_runs_and_matches_oracle(ray_session, con, name):
         "audio_features_decoded",
         "video_features_decoded",
         "lang_id",
+        "doc_fingerprints_rolling",
     }
     if name in golden_tier:
         ray_df = _to_df(q("/root/testdata/sf0.01"))
