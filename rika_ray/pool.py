@@ -30,15 +30,15 @@ def cluster_cpus(default: int = 8) -> int:
 def pool_size(
     per_cpu: float = 0.5, *, floor: int = 2, cap: int | None = None
 ) -> int:
-    """Actor count for a ``map_batches`` pool: ``per_cpu`` actors per
-    cluster CPU, at least ``floor``, at most ``cap``.
+    """``per_cpu`` slots per cluster CPU, at least ``floor``, at most
+    ``cap``.
 
-    Defaults suit the auxiliary pipelines (dedup / similarity / text
-    analysis / joins): ``per_cpu=0.5`` with each actor at ``num_cpus=0.5``
-    reserves a quarter of the cluster and can burst to half of it — wide
-    enough to scale, narrow enough that several pools plus the task
-    operators coexist. The heavyweight extraction pool uses
-    ``pool_size(0.75, floor=1)`` with whole-CPU actors.
+    The extraction kernel's actor pool is ``pool_size(0.75, floor=1)``
+    whole-CPU actors at 4+ CPUs. The defaults (half the cluster's CPUs, at
+    least 2) are a width, not a pool: ``pipelines.aggregate
+    .partition_count()`` runs four bounded-partition shuffle partitions per
+    slot, and the dedup signature checkpoint is read back in one block
+    per slot.
     """
     n = max(floor, int(cluster_cpus() * per_cpu))
     if cap is not None:

@@ -4,12 +4,16 @@ MboxParser analogues (the reference inherits both via the Tika jar,
 
 Built on the Python stdlib ``email`` package (public API), which owns
 header unfolding, RFC 2047 encoded-word decoding, charset handling, and
-base64 / quoted-printable content-transfer-encoding decode. This module
-only flattens the MIME tree into renderable leaves; the per-leaf routing
-(HTML bodies through the boilerplate extractor, binary attachments
-through the magic-byte dispatch) is driven by ``ExtractStage`` like the
-archive kernels, so an email with a PDF attachment extracts the PDF text
-through the exact same code path as a standalone PDF.
+base64 / quoted-printable content-transfer-encoding decode. Messages are
+parsed under a ``compat32`` policy, which keeps raw header strings, so the
+MIME walk needs no header-registry object per lookup; what it reads, and
+the emitted headers, are decoded exactly as under ``policy.default`` (see
+``_Policy``). This module only flattens the MIME tree into renderable
+leaves; the per-leaf routing (HTML bodies through the boilerplate
+extractor, binary attachments through the magic-byte dispatch) is driven
+by ``ExtractStage`` like the archive kernels, so an email with a PDF
+attachment extracts the PDF text through the exact same code path as a
+standalone PDF.
 
 multipart/alternative policy: prefer the ``text/plain`` member, else the
 first member — one rendering per alternative group, never both (the MIME
@@ -21,6 +25,8 @@ from __future__ import annotations
 
 import email
 import email.policy
+import functools
+import re
 from email.message import Message
 
 
@@ -28,9 +34,27 @@ class EmailParseError(Exception):
     pass
 
 
-# policy.default gives the modern EmailMessage API: unfolded headers,
-# decoded encoded-words, get_content() with charset + CTE handling
-_POLICY = email.policy.default
+# Message parsing reads headers through the policy's header_fetch_parse
+# only. policy.default builds a header-registry object on every read, and
+# the parser and the MIME walk read Content-Type again and again; compat32
+# returns the raw string (both policies share ``header_source_parse``).
+# The two headers that shape the tree and the decoded text read as the text
+# of policy.default's object, cached per raw value, so every content-type,
+# boundary, charset and transfer-encoding lookup sees what it sees under
+# policy.default.
+@functools.lru_cache(maxsize=1024)
+def _structural(name: str, value: str) -> str:
+    return str(email.policy.default.header_fetch_parse(name, value))
+
+
+class _Policy(email.policy.Compat32):
+    def header_fetch_parse(self, name, value):
+        if name.lower() in ("content-type", "content-transfer-encoding"):
+            return _structural(name.lower(), value)
+        return super().header_fetch_parse(name, value)
+
+
+_POLICY = _Policy()
 
 # metadata surface modeled on Tika's RFC822Parser keys
 _HEADER_KEYS = (
@@ -39,7 +63,15 @@ _HEADER_KEYS = (
     ("Cc", "Message:Cc"),
     ("Message-ID", "Message:Message-ID"),
     ("Date", "Message:Date"),
+    ("Subject", "dc:title"),
 )
+# policy.default's header_fetch_parse(name, raw) unfolds the raw value and
+# calls its header factory, which makes a new class per call: the class
+# for each emitted header is made once here instead
+_HEADER_CLASS = {
+    hdr.lower(): email.policy.default.header_factory[hdr] for hdr, _ in _HEADER_KEYS
+}
+_LINESEP = re.compile(r"\n|\r")
 
 
 def parse_message(data: bytes) -> Message:
@@ -53,36 +85,31 @@ def parse_message(data: bytes) -> Message:
 
 
 def message_metadata(msg: Message) -> dict[str, str]:
+    """The emitted headers, each as ``msg.get`` returns it under
+    policy.default (its first occurrence, decoded)."""
+    first: dict[str, tuple[str, str]] = {}
+    for name, raw in msg.raw_items():
+        first.setdefault(name.lower(), (name, raw))
     meta: dict[str, str] = {}
     for hdr, key in _HEADER_KEYS:
         try:
-            v = msg.get(hdr)
-        except Exception:  # defective header survives as absent
-            v = None
+            name, raw = first[hdr.lower()]
+            v = _HEADER_CLASS[hdr.lower()](name, _LINESEP.sub("", raw))
+        except Exception:  # absent, or defective: survives as absent
+            continue
         if v:
             meta[key] = str(v)
-    subject = meta_subject(msg)
-    if subject:
-        meta["dc:title"] = subject
     if "Message:From" in meta:
         meta["dc:creator"] = meta["Message:From"]
     return meta
 
 
-def meta_subject(msg: Message) -> str | None:
-    try:
-        s = msg.get("Subject")
-    except Exception:
-        return None
-    return str(s) if s else None
-
-
-def message_leaves(msg: Message) -> list[tuple[str | None, str, str | bytes]]:
+def message_leaves(msg: Message) -> list[tuple[str, str | bytes]]:
     """Flatten the MIME tree to renderable leaves in document order:
-    ``(filename, content_type, payload)`` where payload is decoded ``str``
-    for text/* leaves (charset + CTE handled by the email package) and raw
-    ``bytes`` for everything else (routed by the caller's dispatch)."""
-    out: list[tuple[str | None, str, str | bytes]] = []
+    ``(content_type, payload)`` where payload is decoded ``str`` for text/*
+    leaves (charset + CTE handled by the email package) and raw ``bytes``
+    for everything else (routed by the caller's dispatch)."""
+    out: list[tuple[str, str | bytes]] = []
     _walk(msg, out, depth=0)
     return out
 
@@ -109,7 +136,6 @@ def _walk(part: Message, out: list, depth: int) -> None:
                 _walk(c, out, depth + 1)
         return
     ctype = part.get_content_type()
-    filename = part.get_filename()
     if ctype == "message/rfc822":
         # forwarded message: recurse into the embedded message's tree
         inner = part.get_payload()
@@ -118,14 +144,16 @@ def _walk(part: Message, out: list, depth: int) -> None:
                 _walk(c, out, depth + 1)
         return
     if ctype.startswith("text/"):
+        # policy.default's text decode (contentmanager.get_text_content)
         try:
-            payload = part.get_content()
+            raw = part.get_payload(decode=True)
+            payload = raw.decode(part.get_param("charset", "ASCII"), "replace")
         except Exception:
             raw = part.get_payload(decode=True) or b""
             payload = raw.decode("utf-8", errors="replace")
-        out.append((filename, ctype, payload))
+        out.append((ctype, payload))
     else:
-        out.append((filename, ctype, part.get_payload(decode=True) or b""))
+        out.append((ctype, part.get_payload(decode=True) or b""))
 
 
 # ---------------------------------------------------------------------------
@@ -135,10 +163,8 @@ def _walk(part: Message, out: list, depth: int) -> None:
 # sender and a ctime-style date ("Mon Jan 12 10:00:00 2026"). The date
 # shape is REQUIRED at split points — a body line that merely starts
 # with "From " (prose, unstuffed quoting) must not split the mailbox.
-import re as _re
-
 _POSTMARK = b"From "
-_POSTMARK_RE = _re.compile(
+_POSTMARK_RE = re.compile(
     rb"From \S+ +[A-Z][a-z]{2} [A-Z][a-z]{2} [ \d]\d"
     rb" \d\d:\d\d:\d\d \d{4}\r?\n"
 )

@@ -276,7 +276,7 @@ class ExtractStage:
         parts: list[str] = []
         spans: list[dict] = []
         leaves = message_leaves(msg)
-        for ordinal, (_filename, ctype, payload) in enumerate(leaves):
+        for ordinal, (ctype, payload) in enumerate(leaves):
             if isinstance(payload, str):
                 if ctype == "text/html":
                     content, p_spans, _m = extract_html(payload)

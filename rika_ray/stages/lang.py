@@ -7,12 +7,12 @@ code from the extracted content of every document
 ``spec/rika/parser_spec.rb:252-259``; the ``lang_cant_be_determined.txt``
 fixture shows the undetermined path).
 
-This is a from-scratch character-trigram multinomial naive-Bayes
-classifier (add-one smoothing, compiled log-prob matrix). Language profiles are built from embedded seed text (authored
-paragraphs + per-language function-word inventories — the same signal real
-n-gram detectors rely on). The profile build happens in ``__init__`` of the
-actor-pool callable, i.e. once per worker — exactly the once-per-process
-semantics the reference's memoization provides.
+A Unicode-script shortcut fronts a from-scratch char-trigram naive-Bayes
+classifier whose profiles are built from embedded seed text once per
+``LangDetectStage`` (the reference's once-per-process memoization).
+``detect_languages`` takes a whole batch in array operations over one
+code-point view; only the gate and lower-casing run per text, and a
+text's result depends only on that text.
 
 Undetermined policy: text shorter than ``MIN_CHARS`` (24) after stripping →
 ``None`` (covers "hello"/"hej"-style fixtures and empty content).
@@ -21,8 +21,8 @@ Undetermined policy: text shorter than ``MIN_CHARS`` (24) after stripping →
 from __future__ import annotations
 
 import re
-from collections import Counter
 
+import numpy as np
 import pyarrow as pa
 
 MIN_CHARS = 24
@@ -312,131 +312,119 @@ _FUNCTION_WORDS = {
           "pirms bez par līdz kopš ļoti var savu tikai",
 }
 
-# Script-histogram shortcut: ja/zh/ko/ar/el/he/th/hi are decided by Unicode
-# script dominance (vectorized), not trigrams — Han characters are shared
-# between Chinese and Japanese, so the kana/hangul/han split is the robust
-# signal, and for single-language scripts (Greek/Hebrew/Thai/Devanagari at
-# web scale) the histogram IS the answer (the same block-normalization real
-# detectors apply before n-grams).
+# Script-histogram shortcut (the block-normalization real detectors apply
+# before n-grams), over disjoint (block-lo, block-hi, class) blocks: the
+# kana/hangul/han split decides ja/zh/ko; a class named by a language code
+# is a single-dominant-language script whose histogram IS the answer
+# (Devanagari → hi, Bengali → bn, Ethiopic → am), consulted in this order.
+_SCRIPT_BLOCKS = (
+    (0xAC00, 0xD7A3, "hangul"), (0x1100, 0x11FF, "hangul"), (0x3130, 0x318F, "hangul"),
+    (0x3040, 0x30FF, "kana"), (0x4E00, 0x9FFF, "han"), (0x3400, 0x4DBF, "han"),
+    (0x0600, 0x06FF, "arabic"), (0x0750, 0x077F, "arabic"),
+    (0x0400, 0x04FF, "cyrillic"), (0x0370, 0x03FF, "el"), (0x0590, 0x05FF, "he"),
+    (0x0E00, 0x0E7F, "th"), (0x0900, 0x097F, "hi"), (0x0980, 0x09FF, "bn"),
+    (0x0A00, 0x0A7F, "pa"), (0x0A80, 0x0AFF, "gu"), (0x0B00, 0x0B7F, "or"),
+    (0x0B80, 0x0BFF, "ta"), (0x0C00, 0x0C7F, "te"), (0x0C80, 0x0CFF, "kn"),
+    (0x0D00, 0x0D7F, "ml"), (0x0D80, 0x0DFF, "si"), (0x0E80, 0x0EFF, "lo"),
+    (0x1000, 0x109F, "my"), (0x10A0, 0x10FF, "ka"), (0x0530, 0x058F, "hy"),
+    (0x1200, 0x137F, "am"), (0x1780, 0x17FF, "km"),
+)
+_SCRIPT_CLASSES = list(dict.fromkeys(c for _, _, c in _SCRIPT_BLOCKS))
+_BLOCKS = np.array(
+    sorted((lo, hi, _SCRIPT_CLASSES.index(c)) for lo, hi, c in _SCRIPT_BLOCKS)
+).T
 _SCRIPT_MIN_NONASCII = 8
 
 
-def _script_shortcut(text: str) -> str | None:
-    import numpy as np
-
-    cp = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
-    non_ascii = cp[cp >= 0x80]
-    n = non_ascii.size
-    if n < _SCRIPT_MIN_NONASCII:
-        return None
-    hangul = (
-        ((non_ascii >= 0xAC00) & (non_ascii <= 0xD7A3))
-        | ((non_ascii >= 0x1100) & (non_ascii <= 0x11FF))
-        | ((non_ascii >= 0x3130) & (non_ascii <= 0x318F))
-    ).sum() / n
-    kana = (((non_ascii >= 0x3040) & (non_ascii <= 0x30FF)).sum()) / n
-    han = (
-        ((non_ascii >= 0x4E00) & (non_ascii <= 0x9FFF))
-        | ((non_ascii >= 0x3400) & (non_ascii <= 0x4DBF))
-    ).sum() / n
-    arabic = (
-        ((non_ascii >= 0x0600) & (non_ascii <= 0x06FF))
-        | ((non_ascii >= 0x0750) & (non_ascii <= 0x077F))
-    ).sum() / n
-    if hangul >= 0.3:
-        return "ko"
-    if kana >= 0.05 and kana + han >= 0.3:
-        return "ja"
-    if han >= 0.3:
-        return "zh"
-    if arabic >= 0.3:
-        # Perso-Arabic refinement by marker letters: Urdu's retroflex
-        # set (ٹ ڈ ڑ ں ے ہ) never appears in Persian or Arabic; the
-        # Perso-Arabic additions (گ چ پ ژ) plus the fa/ur kaf/ye forms
-        # (ک U+06A9, ی U+06CC vs Arabic ك U+0643, ي U+064A) separate
-        # Persian from Arabic. ≥2 occurrences guard against stray
-        # loanwords.
-        if np.isin(non_ascii, _UR_MARKS).sum() >= 2:
-            return "ur"
-        if np.isin(non_ascii, _FA_MARKS).sum() >= 2:
-            return "fa"
-        return "ar"
-    # Cyrillic hosts several trigram-modeled languages (ru/uk) — only
-    # Serbian is decided here, by its unique letters (ј љ њ ћ ђ џ appear
-    # in no other Cyrillic orthography); everything else falls through to
-    # the trigram model.
-    cyrillic = ((non_ascii >= 0x0400) & (non_ascii <= 0x04FF)).sum() / n
-    if cyrillic >= 0.3 and np.isin(non_ascii, _SR_MARKS).sum() >= 2:
-        return "sr"
-    # Single-dominant-language scripts: the block histogram IS the answer.
-    # Where a script hosts several languages the dominant web language is
-    # reported (Devanagari → hi, not mr/ne; Bengali → bn, not as;
-    # Ethiopic → am, not ti) — the same policy real detectors apply when
-    # no per-language model exists for the script.
-    for lo_cp, hi_cp, code in _SINGLE_SCRIPTS:
-        if ((non_ascii >= lo_cp) & (non_ascii <= hi_cp)).sum() / n >= 0.3:
-            return code
-    return None
+def _code_points(text: str) -> np.ndarray:
+    return np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
 
 
-def _marks(chars: str):
-    import numpy as np
-
-    return np.frombuffer(chars.encode("utf-32-le"), dtype=np.uint32)
-
-
-_UR_MARKS = _marks("ٹڈڑںےہ")
-_FA_MARKS = _marks("گچپژکی")
-_SR_MARKS = _marks("јљњћђџЈЉЊЋЂЏ")
-
-# (block-lo, block-hi, ISO 639-1) — consulted in order
-_SINGLE_SCRIPTS = (
-    (0x0370, 0x03FF, "el"),   # Greek
-    (0x0590, 0x05FF, "he"),   # Hebrew
-    (0x0E00, 0x0E7F, "th"),   # Thai
-    (0x0900, 0x097F, "hi"),   # Devanagari
-    (0x0980, 0x09FF, "bn"),   # Bengali
-    (0x0A00, 0x0A7F, "pa"),   # Gurmukhi
-    (0x0A80, 0x0AFF, "gu"),   # Gujarati
-    (0x0B00, 0x0B7F, "or"),   # Oriya
-    (0x0B80, 0x0BFF, "ta"),   # Tamil
-    (0x0C00, 0x0C7F, "te"),   # Telugu
-    (0x0C80, 0x0CFF, "kn"),   # Kannada
-    (0x0D00, 0x0D7F, "ml"),   # Malayalam
-    (0x0D80, 0x0DFF, "si"),   # Sinhala
-    (0x0E80, 0x0EFF, "lo"),   # Lao
-    (0x1000, 0x109F, "my"),   # Myanmar
-    (0x10A0, 0x10FF, "ka"),   # Georgian
-    (0x0530, 0x058F, "hy"),   # Armenian
-    (0x1200, 0x137F, "am"),   # Ethiopic
-    (0x1780, 0x17FF, "km"),   # Khmer
-)
+# Marker letters, ≥2 of them against stray loanwords: Urdu's retroflex set
+# (ٹ ڈ ڑ ں ے ہ) is in neither Persian nor Arabic; the Perso-Arabic additions
+# (گ چ پ ژ) and kaf/ye forms (ک ی vs Arabic ك ي) separate Persian from Arabic;
+# Serbian's ј љ њ ћ ђ џ are in no other Cyrillic script (ru/uk: trigrams).
+_MARKS = [_code_points(m) for m in ("ٹڈڑںےہ", "گچپژکی", "јљњћђџЈЉЊЋЂЏ")]
+# outcome of each shortcut rule below, in the order they are consulted
+_SHORTCUT_CODES = [None, "ko", "ja", "zh", "ur", "fa", "ar", "sr"] + _SCRIPT_CLASSES[5:]
 
 
-_CLEAN_RE = re.compile(r"[\W\d_]+", re.UNICODE)
+def _script_shortcuts(windows: list[str]) -> list[str | None]:
+    """Script-dominance language of each window (None: no shortcut), from
+    one code-point view of the batch: every non-ASCII code point is mapped
+    to its script class by binary search and counted per (window, class)."""
+    n_cls = len(_SCRIPT_CLASSES) + 1  # + "other"
+    cp = _code_points("".join(windows))
+    doc = np.repeat(np.arange(len(windows)), [len(w) for w in windows])
+    cp, doc = cp[cp >= 0x80], doc[cp >= 0x80]
+    lo, hi, block_cls = _BLOCKS
+    blk = np.searchsorted(lo, cp, side="right") - 1
+    cls = np.where((blk >= 0) & (cp <= hi[blk]), block_cls[blk], n_cls - 1)
+    counts = np.bincount(doc * n_cls + cls, minlength=len(windows) * n_cls)
+    counts = counts.reshape(len(windows), n_cls)
+    n = counts.sum(axis=1)
+    hangul, kana, han, arabic, cyrillic, *single = (
+        counts / np.maximum(n, 1)[:, None]
+    ).T
+    ur, fa, sr = (
+        np.bincount(doc[np.isin(cp, m)], minlength=len(windows)) >= 2
+        for m in _MARKS
+    )
+    rules = [
+        n < _SCRIPT_MIN_NONASCII,
+        hangul >= 0.3,
+        (kana >= 0.05) & (kana + han >= 0.3),
+        han >= 0.3,
+        (arabic >= 0.3) & ur,
+        (arabic >= 0.3) & fa,
+        arabic >= 0.3,
+        (cyrillic >= 0.3) & sr,
+    ] + [frac >= 0.3 for frac in single[:-1]]
+    rule = np.select(rules, list(range(len(rules))), default=0)
+    return [_SHORTCUT_CODES[r] for r in rule.tolist()]
 
 
-def _trigram_counts(text: str, max_chars: int | None = None) -> Counter:
-    """Char trigram counts over the letters-only, space-normalized text.
-    Word boundaries appear as spaces inside grams, computed in one C-speed
-    regex pass instead of a per-character Python loop."""
-    if max_chars is not None:
-        text = text[:max_chars]
-    cleaned = " " + _CLEAN_RE.sub(" ", text.lower()).strip() + " "
-    L = len(cleaned)
-    return Counter(cleaned[i : i + 3] for i in range(max(0, L - 2)))
+# Trigrams are taken over a letters-only form of each text: lower-cased,
+# every run of non-letters (``_CLEAN_RE``) one space, one space padding
+# each end, so word boundaries appear as spaces inside trigrams.
+# ``_LETTER`` holds the regex's verdict on every BMP code point.
+_CLEAN_RE = re.compile(r"[\W\d_]")
+_LETTER = np.arange(0x10000, dtype=np.uint32)
+_LETTER[0xD800:0xE000] = 0  # surrogates: no text holds them
+_LETTER = _code_points(_CLEAN_RE.sub("\0", _LETTER.tobytes().decode("utf-32-le"))) != 0
 
 
-def build_profiles(extra_seed: dict[str, str] | None = None) -> "NBClassifier":
+def _trigrams(texts: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Code points of the texts' letters-only forms joined, and the start
+    and text of every char trigram, in text order; no trigram spans two
+    texts."""
+    lower = [t.lower() for t in texts]
+    src = _code_points("".join(lower)).astype(np.int64)
+    letter = _LETTER[np.minimum(src, 0xFFFF)]
+    if (src > 0xFFFF).any():  # astral: ask the regex once per code point
+        astral, inv = np.unique(src[src > 0xFFFF], return_inverse=True)
+        verdict = [not _CLEAN_RE.match(chr(c)) for c in astral.tolist()]
+        letter[src > 0xFFFF] = np.array(verdict)[inv]
+    pos = np.flatnonzero(letter)
+    row = np.repeat(np.arange(len(texts)), [len(t) for t in lower])[pos]
+    # a letter after a non-letter gets a space, except its text's first
+    gap = np.r_[False, (pos[1:] > pos[:-1] + 1) & (row[1:] == row[:-1])]
+    lens = 2 + np.bincount(row, weights=1 + gap, minlength=len(texts)).astype(int)
+    cp = np.full(lens.sum(), ord(" "))
+    cp[np.cumsum(1 + gap) + 2 * row] = src[pos]
+    row = np.repeat(np.arange(len(texts)), lens)
+    offset = np.arange(cp.size) - (np.cumsum(lens) - lens)[row]
+    at = np.flatnonzero(offset <= (lens - 3)[row])
+    return cp, at, row[at]
+
+
+def build_profiles() -> "NBClassifier":
     """Compiled language classifier. Seed = authored paragraph +
     function-word inventory per language (the same signal real n-gram
     detectors rely on)."""
     from rika_ray.corpus import WORD_POOL
 
     seeds = dict(_SEED_TEXT)
-    if extra_seed:
-        for k, v in extra_seed.items():
-            seeds[k] = seeds.get(k, "") + " " + v
     for lang_code in list(seeds):
         # function words are the strongest n-gram signal; weight them in
         if lang_code in WORD_POOL:
@@ -447,121 +435,132 @@ def build_profiles(extra_seed: dict[str, str] | None = None) -> "NBClassifier":
 
 
 class NBClassifier:
-    """Multinomial naive-Bayes over char trigrams, compiled to a shared
-    gram→id vocab + (n_vocab, n_langs) float32 log-prob matrix with a
-    per-language unseen-gram floor. Detection is one Counter pass + one
-    numpy matmul per document — no per-doc sorting (the fast path that
-    replaced the Cavnar-Trenkle rank-profile distance; predictions on the
-    5-language fixture corpus are identical and test-enforced)."""
+    """Multinomial naive-Bayes over char trigrams (add-one smoothing): a
+    (n_vocab + 1, n_langs) float32 log-prob matrix whose last row is a zero
+    pad, a per-language unseen-gram floor, and tables giving a trigram's
+    vocabulary id in three gathers (code point → alphabet index, index pair
+    → seen bigram, bigram + index → id)."""
 
     def __init__(self, seed_texts: dict[str, str]) -> None:
-        import numpy as np
-
         self.langs = sorted(seed_texts)
-        per_lang_counts = {
-            lang: _trigram_counts(seed_texts[lang]) for lang in self.langs
-        }
-        vocab: dict[str, int] = {}
-        for lang in self.langs:
-            for gram in per_lang_counts[lang]:
-                vocab.setdefault(gram, len(vocab))
-        self.vocab = vocab
-        v_size = len(vocab) + 1
-        self.logp = np.empty((len(vocab), len(self.langs)), dtype=np.float32)
-        self.floor = np.empty(len(self.langs), dtype=np.float32)
-        for li, lang in enumerate(self.langs):
-            counts = per_lang_counts[lang]
-            total = sum(counts.values()) + v_size
-            col = np.full(len(vocab), np.log(1.0 / total), dtype=np.float32)
-            for gram, c in counts.items():
-                col[vocab[gram]] = np.log((c + 1.0) / total)
-            self.logp[:, li] = col
-            self.floor[li] = np.log(1.0 / total)
+        n_langs = len(self.langs)
+        cp, at, lang = _trigrams([seed_texts[x] for x in self.langs])
+        chars, a = np.unique(cp, return_inverse=True)
+        self._base = base = chars.size + 1  # the alphabet + "unknown"
+        self._char = np.full(chars[-1] + 2, chars.size, np.int32)
+        self._char[chars] = np.arange(chars.size)
+        grams, vid = np.unique(
+            (a[at] * base + a[at + 1]) * base + a[at + 2], return_inverse=True
+        )
+        bigrams, big = np.unique(grams // base, return_inverse=True)
+        self._bigram = np.full(base * base, bigrams.size, np.int32)
+        self._bigram[bigrams] = np.arange(bigrams.size)
+        self._trigram = np.full((bigrams.size + 1) * base, grams.size, np.int32)
+        self._trigram[big * base + grams % base] = np.arange(grams.size)
+        # log((count + 1) / total) with total = grams + |V| + 1 per language
+        counts = np.bincount(vid * n_langs + lang, minlength=(grams.size + 1) * n_langs)
+        counts = counts.reshape(grams.size + 1, n_langs)
+        total = counts.sum(axis=0) + grams.size + 1
+        logp = counts + 1.0
+        logp /= total
+        self.logp = np.log(logp, out=logp).astype(np.float32)
+        self.logp[-1] = 0.0
+        self.floor = np.log(1.0 / total).astype(np.float32)
 
-    def scored(self, text_counts) -> tuple[str, float]:
-        """(best language, mean per-gram log-prob MARGIN above the winner's
-        unseen-gram floor). The margin is the certainty signal: out-of-model
-        scripts hit the floor on every trigram and score ≈0, while in-model
-        text scores well above it. Unlike an absolute mean log-prob, the
-        margin is invariant to vocabulary size, so adding languages to the
-        model does not move the calibration point."""
-        import numpy as np
+    def scores(self, texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+        """Per text: best language index (-1 without trigrams) and the
+        mean per-gram log-prob MARGIN above the winner's unseen-gram floor,
+        the certainty signal (out-of-model scripts hit the floor on every
+        trigram and score ≈0), invariant to vocabulary size. A text's
+        log-prob is a float32 sum over its distinct known trigrams in order
+        of first occurrence, whatever else the batch holds."""
+        n, n_vocab = len(texts), self.logp.shape[0] - 1
+        cp, at, row = _trigrams(texts)
+        a, base = self._char[np.minimum(cp, self._char.size - 1)], self._base
+        vid = self._trigram[self._bigram[a[at] * base + a[at + 1]] * base + a[at + 2]]
+        n_grams = np.bincount(row, minlength=n)
+        n_miss = np.bincount(row[vid == n_vocab], minlength=n)
+        row, vid = row[vid < n_vocab], vid[vid < n_vocab]
+        # distinct (text, trigram) pairs: sorting pair × hits + position
+        # starts each pair's run at its first occurrence
+        key = np.sort((row * n_vocab + vid) * row.size + np.arange(row.size))
+        pair = key // row.size
+        run = np.flatnonzero(np.diff(pair, prepend=-1))
+        first = key[run] - pair[run] * row.size
+        count = np.zeros(row.size, np.float32)
+        count[first] = np.diff(run, append=row.size)
+        first.sort()
+        row, vid, count = row[first], vid[first], count[first]
+        # pair k of each text goes to slab k (padding: the zero row);
+        # summing over the slabs adds each text's pairs in sequence
+        per_row = np.bincount(row, minlength=n)
+        at = (np.arange(row.size) - (np.cumsum(per_row) - per_row)[row]) * n + row
+        slabs = per_row.max(initial=0)
+        src, weight = np.full(slabs * n, n_vocab), np.ones(slabs * n, np.float32)
+        src[at], weight[at] = vid, count
+        totals = self.logp[src]
+        totals *= weight[:, None]
+        totals = totals.reshape(slabs, n, len(self.langs)).sum(axis=0)
+        totals += n_miss.astype(np.float32)[:, None] * self.floor
+        best = totals.argmax(axis=1)
+        mean = totals[np.arange(n), best].astype(np.float64) / np.maximum(n_grams, 1)
+        margin = mean - self.floor[best].astype(np.float64)
+        return np.where(n_grams > 0, best, -1), margin
 
-        ids, cnts = [], []
-        n_miss = 0
-        get = self.vocab.get
-        for gram, c in text_counts.items():
-            vid = get(gram)
-            if vid is None:
-                n_miss += c
-            else:
-                ids.append(vid)
-                cnts.append(c)
-        totals = (
-            self.logp[ids] * np.asarray(cnts, dtype=np.float32)[:, None]
-        ).sum(axis=0) + n_miss * self.floor
-        li = int(totals.argmax())
-        n_grams = max(1, sum(cnts) + n_miss)
-        mean_lp = float(totals[li]) / n_grams
-        return self.langs[li], mean_lp - float(self.floor[li])
 
-    def best(self, text_counts) -> str:
-        return self.scored(text_counts)[0]
-
-
-# Certainty floor (reference: the Optimaize detector is certainty-
-# thresholded, lib/rika.rb:58-61). Calibrated on this model: in-model text
-# has a mean-log-prob margin ≥ 0.59 above the winner's unseen-gram floor;
-# out-of-model scripts (Armenian, Georgian, Tamil, ...) hit the floor on
-# every trigram and score ≈ 0; random ASCII gibberish scores ≈ 0.06.
+# Certainty floor (the Optimaize detector is certainty-thresholded,
+# lib/rika.rb:58-61). In-model text has a margin ≥ 0.59; out-of-model
+# scripts score ≈ 0 and random ASCII gibberish ≈ 0.06.
 MIN_MARGIN = 0.25
+_CHUNK_ROWS = 512  # texts per pass: bounds the scoring arrays
 
 
-def detect_language(
-    text: str | None, profiles: "NBClassifier"
-) -> str | None:
-    """ISO 639-1 code, or None when undetermined (too-short input or
-    below the model's certainty floor — e.g. out-of-model scripts)."""
-    if text is None:
-        return None
-    stripped = text.strip()
-    if len(stripped) < MIN_CHARS:
-        return None
-    script = _script_shortcut(stripped[:_DETECT_PREFIX])
-    if script is not None:
-        return script
-    counts = _trigram_counts(stripped, _DETECT_PREFIX)
-    if not counts:
-        return None
-    lang, margin = profiles.scored(counts)
-    if margin < MIN_MARGIN:
-        return None
-    if lang in ("ru", "bg"):
-        # orthography tie-break for the hardest Cyrillic pair: Bulgarian
-        # NEVER uses ы/э/ё, so their presence is decisive for Russian;
-        # Bulgarian's vocalic ъ (съ-, ще бъде, първи) is everywhere while
-        # Russian's hard sign is rare — ≥2 occurrences in the detection
-        # window is decisive for Bulgarian. NB margins decide the rest.
-        window = stripped[:_DETECT_PREFIX]
-        if any(c in window for c in "ыэёЫЭЁ"):
-            return "ru"
-        if window.count("ъ") + window.count("Ъ") >= 2:
-            return "bg"
-    return lang
+def detect_languages(
+    texts: list[str | None], profiles: "NBClassifier"
+) -> list[str | None]:
+    """ISO 639-1 code of each text, or None when undetermined (too-short
+    input or below the model's certainty floor — e.g. out-of-model
+    scripts). Each text's result depends only on that text."""
+    out: list[str | None] = [None] * len(texts)
+    for lo in range(0, len(texts), _CHUNK_ROWS):
+        chunk = enumerate(texts[lo : lo + _CHUNK_ROWS], lo)
+        gate = [(i, t.strip()) for i, t in chunk if t]
+        gate = [(i, s[:_DETECT_PREFIX]) for i, s in gate if len(s) >= MIN_CHARS]
+        rest = []
+        for (i, window), script in zip(gate, _script_shortcuts([w for _, w in gate])):
+            out[i] = script
+            if script is None:
+                rest.append((i, window))
+        best, margin = profiles.scores([w for _, w in rest])
+        for (i, window), li, m in zip(rest, best.tolist(), margin.tolist()):
+            if li < 0 or m < MIN_MARGIN:
+                continue
+            out[i] = profiles.langs[li]
+            if out[i] in ("ru", "bg"):
+                # orthography tie-break for the hardest Cyrillic pair:
+                # Bulgarian never uses ы/э/ё; its vocalic ъ (съ-, ще бъде)
+                # is everywhere while Russian's hard sign is rare (≥2 in the
+                # window decides Bulgarian). NB margins decide the rest.
+                if any(c in window for c in "ыэёЫЭЁ"):
+                    out[i] = "ru"
+                elif window.count("ъ") + window.count("Ъ") >= 2:
+                    out[i] = "bg"
+    return out
+
+
+def detect_language(text: str | None, profiles: "NBClassifier") -> str | None:
+    """``detect_languages`` of one text."""
+    return detect_languages([text], profiles)[0]
 
 
 class LangDetectStage:
     """`map_batches` callable (a fused-kernel stage, and the ``lang_id``
-    task): adds a `language` column from `content`. Profiles are
-    built once per instance in __init__ (T1)."""
+    task): adds a `language` column from `content`, one
+    ``detect_languages`` call per batch. Profiles are built once (T1)."""
 
     def __init__(self) -> None:
         self.profiles = build_profiles()
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        content = batch["content"]
-        langs = [
-            detect_language(content[i].as_py(), self.profiles)
-            for i in range(len(batch))
-        ]
+        langs = detect_languages(batch["content"].to_pylist(), self.profiles)
         return batch.append_column("language", pa.array(langs, pa.string()))

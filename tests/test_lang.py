@@ -145,7 +145,7 @@ def test_single_script_shortcut_breadth():
     """T1 breadth: single-dominant-language scripts decided by block
     histogram (Indic family, Sinhala, Lao, Myanmar, Georgian, Armenian,
     Ethiopic, Khmer) — novel sentences, not training data."""
-    from rika_ray.stages.lang import _script_shortcut
+    from rika_ray.stages.lang import _script_shortcuts
 
     cases = {
         "bn": "সকালে স্টেশনটি মানুষ এবং শব্দে ভরে যায়।",
@@ -175,7 +175,8 @@ def test_single_script_shortcut_breadth():
         "el": "Το πρωί ο σταθμός γεμίζει με κόσμο και θόρυβο.",
         "he": "בבוקר התחנה מתמלאת באנשים וברעש.",
     }
+    assert _script_shortcuts(list(cases.values())) == list(cases)
     for want, text in cases.items():
-        assert _script_shortcut(text) == want, want
+        assert _script_shortcuts([text]) == [want], want
     # mixed/Latin text never shortcuts
-    assert _script_shortcut("plain english text with no other script") is None
+    assert _script_shortcuts(["plain english text with no other script"]) == [None]

@@ -384,3 +384,125 @@ def test_codecs_fail_typed_on_corrupted_valid_prefix(data):
         # well-shaped output, never garbage types
         arr = out[0] if isinstance(out, tuple) else out
         assert isinstance(arr, np.ndarray)
+
+
+# Rows for the batch-independence property of language detection: every
+# gate outcome, every script shortcut, the trigram model on several
+# languages, and paragraphs split in two so that the raw concatenation of
+# two neighbouring rows forms in-vocabulary trigrams across their boundary.
+_LANG_SAMPLES = [
+    "これは日本語のテキストです。言語検出器はこれを日本語として検出するべきです。",
+    "这是中文文本。语言检测器应该检测出中文。城市的早晨从火车的声音开始。",
+    "이것은 한국어 텍스트입니다. 언어 감지기는 이것을 한국어로 감지해야 합니다.",
+    "صبح کے وقت اسٹیشن لوگوں اور شور سے بھر جاتا ہے۔ لوگ روٹی لے کر چلتے ہیں۔",
+    "صبح ایستگاه پر از مردم و سر و صدا می‌شود. مردم با نان راه می‌روند.",
+    "في الصباح تمتلئ المحطة بالناس والضجيج. يمشي الناس مع الخبز والصحف.",
+    "Воз је стигао на станицу касно и путници су чекали са картама у рукама.",
+    "Поезд прибыл на станцию с опозданием, и пассажиры ждали с билетами.",
+    "Влакът пристигна на гарата със закъснение и пътниците чакаха с билети.",
+    "Το πρωί ο σταθμός γεμίζει με κόσμο και θόρυβο και φωνές.",
+    "ᏣᎳᎩ ᎦᏬᏂᎯᏍᏗ ᎠᎴ ᏗᎪᏪᎵ ᎠᏂᏃᎮᎵᏙᎯ ᎤᏂᏣᏘ ᎠᏂᏴᏫᏯ ᎠᏁᎲᎢ",
+]
+
+
+def _lang_paragraph(lang: str, seed: int) -> str:
+    import random
+
+    from rika_ray.corpus import WORD_POOL, _paragraph
+
+    return _paragraph(random.Random(seed), WORD_POOL[lang], 2)
+
+
+def _split_paragraph(lang: str, seed: int, cut: float) -> list[str]:
+    text = _lang_paragraph(lang, seed)
+    at = int(len(text) * cut)
+    return [text[:at], text[at:]]
+
+
+_LANG_CODES = st.sampled_from(["en", "de", "fr", "es", "ru"])
+_LANG_ROW = st.one_of(
+    st.none(),
+    st.text(alphabet=" \t\r\n\u00a0\u3000", max_size=40),
+    st.text(max_size=23),
+    st.sampled_from(_LANG_SAMPLES),
+    st.builds(_lang_paragraph, _LANG_CODES, st.integers(0, 10**6)),
+    st.text(max_size=500),
+)
+_LANG_ROWS = st.lists(
+    st.one_of(
+        _LANG_ROW.map(lambda row: [row]),
+        st.builds(
+            _split_paragraph,
+            _LANG_CODES,
+            st.integers(0, 10**6),
+            st.floats(0.2, 0.8),
+        ),
+    ),
+    min_size=1,
+).map(lambda chunks: [row for chunk in chunks for row in chunk])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 7, 128]), st.data())
+def test_language_of_a_row_is_independent_of_its_batch(n, data):
+    from rika_ray.stages.lang import detect_languages
+
+    rows = data.draw(_LANG_ROWS)
+    batch = (rows * (n // len(rows) + 1))[:n] if len(rows) < n else rows[:n]
+    got = detect_languages(batch, _PROFILES)
+    assert got == [detect_languages([row], _PROFILES)[0] for row in batch]
+    # the trigram scores themselves, not only the labels, are per row
+    texts = [row for row in batch if row is not None]
+    best, margin = _PROFILES.scores(texts)
+    for i, row in enumerate(texts):
+        b1, m1 = _PROFILES.scores([row])
+        assert (best[i], margin[i]) == (b1[0], m1[0])
+
+
+def _mail_kernels():
+    from rika_ray.stages import sniff
+    from rika_ray.stages.extract import ExtractStage
+
+    stage = ExtractStage()
+    return ((stage._do_eml, sniff.EML), (stage._do_mbox, sniff.MBOX))
+
+
+def _assert_mail_total(kernel, media, data):
+    from rika_ray.stages.email_msg import EmailParseError
+
+    try:
+        content, ctype, charset, spans, meta = kernel(data, media)
+    except EmailParseError:
+        return
+    assert isinstance(content, str) and ctype == media and charset is None
+    assert isinstance(spans, list)
+    assert all(isinstance(k, str) and isinstance(v, str) for k, v in meta.items())
+
+
+@SETTINGS
+@given(st.binary(max_size=4096))
+def test_mail_kernels_fail_typed_on_arbitrary_bytes(data):
+    """``_do_eml`` / ``_do_mbox`` return a result or raise
+    ``EmailParseError`` on any bytes (with and without a postmark)."""
+    for kernel, media in _mail_kernels():
+        _assert_mail_total(kernel, media, data)
+        _assert_mail_total(kernel, media, b"From a@b Mon Jan 12 10:00:00 2026\n" + data)
+
+
+@SETTINGS
+@given(st.binary(max_size=4096), st.floats(0.0, 1.0))
+def test_mail_kernels_fail_typed_on_corrupted_valid_prefix(data, keep):
+    """Same totality on real messages whose tail is replaced with fuzz: a
+    multipart/mixed message with an HTML alternative and an attachment,
+    alone and in a mailbox."""
+    msg = docgen.build_eml(
+        "Grüße =?utf-8?q?aus_K=C3=B6ln?=",
+        '"Doe, Jane" <jane@example.test>',
+        "a@example.test,\n b@example.test",
+        "Plain body with ümlauts.",
+        html_body="<p>HTML body</p>",
+        attachments=[("notes.txt", b"attached text", "text/plain")],
+    )
+    for kernel, media in _mail_kernels():
+        blob = msg if media.endswith("rfc822") else docgen.build_mbox([msg, msg])
+        _assert_mail_total(kernel, media, blob[: int(len(blob) * keep)] + data)
