@@ -92,10 +92,10 @@ def _run_extract(in_path: str) -> dict:
             while f.read(1 << 24):
                 pass
 
-    # Partition granularity: ~25 blocks per CPU keeps actor waves smooth
+    # Partition granularity: ~25 blocks per CPU keeps task waves smooth
     # (a one-block-per-file layout gives 200 coarse tasks whose ragged
-    # tail idles most of a 32-CPU pool for seconds at a time), capped at
-    # ~500 docs per block so tiny corpora aren't over-split.
+    # tail idles most of 32 CPUs for seconds at a time), capped at ~500
+    # docs per block so tiny corpora aren't over-split.
     blocks_per_cpu = int(os.environ.get("RIKA_BLOCKS_PER_CPU", "25"))
     if blocks_per_cpu > 0:
         import pyarrow.dataset as _pads

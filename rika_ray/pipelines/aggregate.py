@@ -57,7 +57,7 @@ _FIXED_WIDTH = (
 
 def partition_count() -> int:
     """How many partitions a bounded-partition shuffle uses: four per
-    auxiliary pool slot (``pool_size()``, at least 2), enough parallelism
+    slot (``pool_size()``, at least 2), enough parallelism
     without the per-partition cost mattering. It follows the cluster."""
     return 4 * pool_size()
 

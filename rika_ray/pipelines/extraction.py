@@ -1,7 +1,7 @@
 """The flagship extraction pipeline (SURVEY.md §3.4 lifecycle).
 
 web_pages Dataset
-  → map_batches(FusedExtractStage)  [sniff → extract → lang → finalize]
+  → map_batches(fused_extract)  [sniff → extract → lang → finalize]
 
 One kernel, one layout: every batch runs the four logical stages in
 process (M1 sniff, M2-M8 router, T1 lang, M8-M11/M13 finalize), so rows
@@ -9,16 +9,17 @@ cross the object store once, between the read and the kernel. The stages
 stay separate classes and functions, testable on their own.
 ``shortcuts.parse`` calls the same kernel on a one-row table, without Ray.
 
-Only the cluster size picks the physical form: an actor pool at 4 or
-more CPUs, stateless tasks below that (a pool there would reserve every
-CPU and starve the read and write tasks).
+One physical form at every cluster size: stateless tasks, which hold no
+standing reservation. Each worker process builds the kernel once per
+config (``kernel``) and reuses it for every batch it is given, as rika
+bootstraps Tika once per JVM; the plan carries only the config scalars.
 
 Scale design notes (§4):
 - The extraction path is shuffle-free (embarrassingly parallel); wide ops
   (error tallies, dedup) happen downstream on the much smaller extracted
   table.
 - ``batch_size`` is deliberately small: documents are multi-KB..multi-MB,
-  so a batch of 64-256 rows keeps batch × concurrency within worker
+  so a batch of 64-256 rows keeps batch × tasks in flight within worker
   heaps; ``route_mega_docs`` additionally isolates mega-documents into
   their own single-row blocks/batches on the SAME single scan (dynamic
   block splitting capped at ``mega_doc_bytes`` + whole-block batches) so
@@ -30,6 +31,7 @@ Scale design notes (§4):
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import pyarrow as pa
@@ -48,8 +50,6 @@ class ExtractionConfig:
     max_content_length: int = -1  # chars; -1 unlimited, 0 suppress (M11)
     key_sort: bool = True  # metadata key sort (M10)
     batch_size: int = 128  # rows per kernel batch (docs are heavy)
-    # actor pool size at 4+ CPUs; None = 3/4 of the cluster's CPUs
-    extract_concurrency: int | tuple[int, int] | None = None
     # Skew isolation for mega-documents, on the SAME single scan: the
     # dataset chain's target block size is capped at ``mega_doc_bytes``
     # (scoped via ``ds.context`` — never the process-global DataContext)
@@ -93,6 +93,19 @@ class FusedExtractStage:
         )
 
 
+@functools.lru_cache(maxsize=8)
+def kernel(max_content_length: int, key_sort: bool, detector) -> FusedExtractStage:
+    """This process's kernel for one config, built on first use."""
+    return FusedExtractStage(max_content_length, key_sort, detector)
+
+
+def fused_extract(
+    batch: pa.Table, *, max_content_length: int, key_sort: bool, detector
+) -> pa.Table:
+    """The pipeline's task: this worker's cached kernel on one batch."""
+    return kernel(max_content_length, key_sort, detector)(batch)
+
+
 # the only input columns the extraction pipeline consumes — everything else
 # (e.g. a prior run's text/lang columns) is pruned AT THE READ so it never
 # leaves storage. At 100 TB an unpruned read of a populated prior-extraction
@@ -120,8 +133,6 @@ def build_extraction_pipeline(
     write_parquet / iter_batches / aggregates — never materialized here.
     """
     cfg = cfg or ExtractionConfig()
-    from rika_ray.pool import cluster_cpus, pool_size
-
     kwargs = dict(batch_format="pyarrow", batch_size=cfg.batch_size)
     if cfg.route_mega_docs:
         # Cap THIS dataset chain's block size at the mega threshold:
@@ -136,40 +147,15 @@ def build_extraction_pipeline(
         # reader output before block building ever runs
         kwargs["batch_size"] = None
         kwargs["num_cpus"] = 0.99
-
-    if cluster_cpus() >= 4:
-        pool = cfg.extract_concurrency
-        if pool is None:
-            # constant worker fraction (3/4 of slots; rest for read/write
-            # tasks): a pool that reserves every CPU starves them and the
-            # pipeline deadlocks; the fraction also keeps N-vs-4N scaling
-            # comparisons apples-to-apples. Computed into a local, never
-            # written back to cfg, so a reused config is re-sized per call.
-            pool = pool_size(0.75, floor=1)
-        # deeper per-actor task pipelining (4 in flight vs default 2)
-        # hides dispatch latency — measured +10-15% pool utilization at
-        # 32 CPUs; 8 in flight over-queues slow actors and regresses.
-        # Scoped to this dataset chain's context, not the global.
-        ds.context.max_tasks_in_flight_per_actor = 4
-        return ds.map_batches(
-            FusedExtractStage,
-            concurrency=pool,
-            fn_constructor_kwargs={
-                "max_content_length": cfg.max_content_length,
-                "key_sort": cfg.key_sort,
-                "detector": cfg.detector,
-            },
-            **kwargs,
-        )
-    # tiny cluster: the same kernel as stateless tasks
-    fused = FusedExtractStage(
-        cfg.max_content_length, cfg.key_sort, cfg.detector
+    return ds.map_batches(
+        fused_extract,
+        fn_kwargs={
+            "max_content_length": cfg.max_content_length,
+            "key_sort": cfg.key_sort,
+            "detector": cfg.detector,
+        },
+        **kwargs,
     )
-
-    def _fused_task(batch: pa.Table) -> pa.Table:
-        return fused(batch)
-
-    return ds.map_batches(_fused_task, **kwargs)
 
 
 _NULL_KEY = "\x00<null>"

@@ -9,20 +9,12 @@ Convenience one-liners for interactive sessions::
 Each helper runs the pipeline's fused kernel (``FusedExtractStage``) in
 process on a single local file or URL and returns plain Python values —
 the same row the Ray pipeline produces for that document. No Ray session
-is started or needed; the kernel is built once per process and per
-config."""
+is started or needed; the kernel is the pipeline's own per-process cache
+(``pipelines.extraction.kernel``), built once per config."""
 
 from __future__ import annotations
 
-import functools
 from typing import Any
-
-
-@functools.lru_cache(maxsize=8)
-def _kernel(max_content_length: int, key_sort: bool, detector):
-    from rika_ray.pipelines.extraction import FusedExtractStage
-
-    return FusedExtractStage(max_content_length, key_sort, detector)
 
 
 def parse(target: str, **cfg_kwargs) -> dict[str, Any]:
@@ -31,7 +23,7 @@ def parse(target: str, **cfg_kwargs) -> dict[str, Any]:
     ``ExtractionConfig`` fields; the url column is ``target`` as given."""
     import pyarrow as pa
 
-    from rika_ray.pipelines.extraction import ExtractionConfig
+    from rika_ray.pipelines.extraction import ExtractionConfig, kernel
     from rika_ray.schema import WEB_PAGES_SCHEMA
     from rika_ray.sources.ingest import INGEST_EPOCH, fetch_to_table
 
@@ -52,8 +44,8 @@ def parse(target: str, **cfg_kwargs) -> dict[str, Any]:
               "text": None, "lang": None}],
             schema=WEB_PAGES_SCHEMA,
         )
-    kernel = _kernel(cfg.max_content_length, cfg.key_sort, cfg.detector)
-    return kernel(page).to_pylist()[0]
+    fused = kernel(cfg.max_content_length, cfg.key_sort, cfg.detector)
+    return fused(page).to_pylist()[0]
 
 
 def content(target: str) -> str | None:

@@ -1,3 +1,3 @@
-"""Pipeline stages: each is a `map_batches`-shaped kernel (stateless
-function or actor-pool callable class) over Arrow batches.
+"""Pipeline stages: each is a `map_batches`-shaped kernel (a function, or
+a callable class built once per worker process) over Arrow batches.
 """

@@ -23,9 +23,9 @@ Extraction spec: one span per text-showing operator, ordered (page, op);
 ``docgen.expected_pdf_content``). Malformed input raises ``PdfParseError``
 which the pipeline converts to an ``error_type="parse_error"`` row (§2.8).
 
-Designed to run inside an actor pool (stateful stage T2): the compiled
-regexes and operator tables live on the extractor class, built once per
-actor in ``__init__``.
+Stateful stage T2: the compiled regexes and operator tables live on the
+extractor class, built once per worker process with the pipeline's
+cached kernel (``pipelines.extraction.kernel``).
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@ detection for SVG. Re-expressed here as pure per-document functions called
 from the ExtractStage dispatch — one ``map_batches`` scan, no extra pass.
 
 Every function returns ``(content, spans, metadata)`` like its peer
-extractors and never depends on ambient state, so it is safe in both the
-actor pool and the stateless-task fallback.
+extractors and never depends on ambient state, so a row's result does not
+depend on the worker or the batch that runs it.
 """
 
 from __future__ import annotations

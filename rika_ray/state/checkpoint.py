@@ -30,7 +30,6 @@ hash, which is what the determinism / resume tests assert.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import shutil
@@ -143,25 +142,6 @@ def _process_partition(
     return entry
 
 
-def _slot_config(cfg: ExtractionConfig, k: int) -> ExtractionConfig:
-    """Divide the default actor-pool budget across ``k`` concurrently
-    executing partitions. Each Dataset execution sizes its pool assuming it
-    owns the cluster; k such executions would jointly reserve every CPU and
-    starve the read/write tasks (the silent-deadlock failure mode), so each
-    in-flight slot gets an explicit 1/k share. An explicit user-set
-    concurrency is respected as-is."""
-    if k <= 1 or cfg.extract_concurrency is not None:
-        return cfg
-    from rika_ray.pool import cluster_cpus
-
-    ncpu = cluster_cpus()
-    if ncpu < 4:
-        return cfg  # task path, no pool to divide
-    return dataclasses.replace(
-        cfg, extract_concurrency=max(1, int(ncpu * 0.75 / k))
-    )
-
-
 def run_partitioned_extraction(
     input_files: list[str],
     out_dir: str,
@@ -178,12 +158,12 @@ def run_partitioned_extraction(
 
     ``max_in_flight``: bounded partition pipelining — up to K partitions
     execute as concurrent Dataset runs (each from its own driver thread,
-    with the actor-pool budget divided K ways), and each commits its
-    manifest the moment it completes. This hides the per-partition pool
-    ramp (~seconds of actor startup per leg that the cluster would
-    otherwise idle through) while keeping resume granularity and the
-    atomic per-partition commit identical to the serial path. Default:
-    min(4, pending partitions); pass 1 to force the serial loop.
+    all sharing the cluster's task slots), and each commits its manifest
+    the moment it completes. This fills the cluster through each
+    partition's start-up, ragged tail and content-hash pass, which a
+    serial loop would idle through, while keeping resume granularity and
+    the atomic per-partition commit identical to the serial path.
+    Default: min(4, pending partitions); pass 1 to force the serial loop.
 
     Returns a summary: partitions done/skipped, docs, docs_per_sec.
     """
@@ -240,11 +220,10 @@ def run_partitioned_extraction(
                     f"injected failure after {processed} partitions (test hook)"
                 )
     elif pending:
-        slot_cfg = _slot_config(cfg, min(k, len(pending)))
         first_err: BaseException | None = None
         with ThreadPoolExecutor(max_workers=k) as ex:
             futures = {
-                ex.submit(_process_partition, pid, in_file, out_dir, slot_cfg)
+                ex.submit(_process_partition, pid, in_file, out_dir, cfg)
                 for pid, in_file in pending
             }
             # Drain as they complete: a failed partition doesn't abandon the

@@ -13,6 +13,6 @@ def test_extraction_metrics(ray_session, corpus_dir, tmp_path):
     out.write_parquet(str(tmp_path / "mx"))  # stats populate on execution
     m = extraction_metrics(out)
     assert m["docs"] is not None and m["docs"] > 0
-    assert any("FusedExtractStage" in s["operator"] for s in m["stages"])
+    assert any("fused_extract" in s["operator"] for s in m["stages"])
     for s in m["stages"]:
         assert s["wall_s"] >= 0

@@ -185,7 +185,7 @@ def test_custom_detector_injection(ray_session, corpus_dir):
     (Rika.parse detector: analogue) — with an all-opaque detector every
     non-error row extracts as empty binary. The detector is a closure so
     cloudpickle ships it by value (test modules aren't importable from Ray
-    workers — a module-level function here crash-loops the actor pool)."""
+    workers — a module-level function here fails to unpickle there)."""
     from rika_ray.pipelines.extraction import ExtractionConfig, build_extraction_pipeline
 
     def _octet_detector(payload: bytes):

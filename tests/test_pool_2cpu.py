@@ -1,15 +1,23 @@
-"""Small-cluster regression: every pipeline that used to hold an auxiliary
-actor pool or one of Ray's hash shuffles must finish on a 1- and a 2-CPU
-cluster. Pools with ``num_cpus=0.5`` floors reserved the whole of a tiny
-cluster, so the read tasks never scheduled, and the aggregator actors of
-Ray's hash joins waited for a CPU forever: both hang silently (no output,
-no error). Every auxiliary stage is now a plain task and every exchange
-a sort on the bounded partition key (``pipelines.aggregate``).
+"""Cluster-size regressions for the plans that used to hold actor pools.
 
-Runs in a subprocess because the session fixture pins ``num_cpus=4``.
-Each pipeline has its own deadline; its rows must equal DuckDB's over the
-same tables, or those of the 4-CPU session where the query has no oracle
-over the testdata tables.
+Every pipeline that used to hold an auxiliary actor pool or one of Ray's
+hash shuffles must finish on a 1- and a 2-CPU cluster. Pools with
+``num_cpus=0.5`` floors reserved the whole of a tiny cluster, so the read
+tasks never scheduled, and the aggregator actors of Ray's hash joins
+waited for a CPU forever: both hang silently (no output, no error). Every
+auxiliary stage is now a plain task and every exchange a sort on the
+bounded partition key (``pipelines.aggregate``).
+
+The extraction kernel's actor pool at 4+ CPUs stalled back-to-back jobs
+(1.3 s to 18.9 s each where tasks held under 1 s); the kernel is now a
+plain task at every size, and ten jobs in a row at 4 CPUs must each
+finish within a deadline with the kernel's own rows.
+
+Runs in a subprocess because the session fixture pins ``num_cpus=4``
+(and, for the 4-CPU case, so that the first job meets fresh workers).
+Each pipeline has its own deadline; its rows
+must equal DuckDB's over the same tables, or those of the 4-CPU session
+where the query has no oracle over the testdata tables.
 """
 
 from __future__ import annotations
@@ -133,3 +141,90 @@ def test_pipelines_finish_on_a_small_cluster(ray_session, tmp_path, num_cpus):
         pd.testing.assert_frame_equal(
             got, exp, check_dtype=False, check_exact=True, obj=name
         )
+
+
+# healthy back-to-back extraction jobs over the smoke corpus take under a
+# second each at 4 CPUs (the first a few, while workers start); over the
+# 2,818 documents of layerbench's extract_mixed the actor pool's second
+# job took 17-19 s
+EXTRACT_JOBS = 10
+EXTRACT_DEADLINE_S = 15
+
+_EXTRACT_SCRIPT = """
+import signal, sys, time
+import ray
+num_cpus, corpus_dir, out_dir, deadline, jobs = sys.argv[1:6]
+ray.init(address="local", num_cpus=int(num_cpus), include_dashboard=False,
+         logging_level="ERROR")
+from ray.data import DataContext
+DataContext.get_current().enable_progress_bars = False
+from rika_ray.pipelines.extraction import (
+    ExtractionConfig, build_extraction_pipeline, read_web_pages)
+
+def _late(signum, frame):
+    raise TimeoutError(f"job {job}: not done within {deadline} s")
+
+signal.signal(signal.SIGALRM, _late)
+for job in range(int(jobs)):
+    signal.alarm(int(deadline))
+    t0 = time.perf_counter()
+    ds = read_web_pages(f"{corpus_dir}/web_pages.parquet")
+    build_extraction_pipeline(ds, ExtractionConfig()).write_parquet(
+        f"{out_dir}/job{job}")
+    signal.alarm(0)
+    print("done", job, round(time.perf_counter() - t0, 3), flush=True)
+ray.shutdown()
+"""
+
+
+def test_back_to_back_extraction_jobs_at_4_cpus(ray_session, corpus_dir, tmp_path):
+    import pyarrow.parquet as pq
+
+    from rika_ray.pipelines.extraction import (
+        EXTRACTION_INPUT_COLUMNS,
+        FusedExtractStage,
+    )
+
+    proc = subprocess.run(
+        [sys.executable, "-c", _EXTRACT_SCRIPT, "4", corpus_dir, str(tmp_path),
+         str(EXTRACT_DEADLINE_S), str(EXTRACT_JOBS)],
+        capture_output=True,
+        text=True,
+        timeout=EXTRACT_DEADLINE_S * EXTRACT_JOBS + 60,
+        cwd=ROOT,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-3000:]
+    assert proc.stdout.count("done ") == EXTRACT_JOBS, proc.stdout
+
+    pages = pq.read_table(
+        f"{corpus_dir}/web_pages.parquet", columns=list(EXTRACTION_INPUT_COLUMNS)
+    )
+
+    def _rows(tbl):
+        return sorted(tbl.to_pylist(), key=lambda r: (r["url"], repr(r)))
+
+    want = _rows(FusedExtractStage()(pages))
+    for job in range(EXTRACT_JOBS):
+        assert _rows(pq.read_table(tmp_path / f"job{job}")) == want, job
+
+
+def test_the_plan_builds_no_kernel_in_the_driver(ray_session, corpus_dir, monkeypatch):
+    """Each worker builds its own kernel; the plan carries only the config,
+    not a driver-built kernel pickled into every task."""
+    from rika_ray.pipelines import extraction
+
+    built = []
+    init = extraction.FusedExtractStage.__init__
+
+    def _counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(extraction.FusedExtractStage, "__init__", _counting_init)
+    ds = extraction.build_extraction_pipeline(
+        extraction.read_web_pages(f"{corpus_dir}/web_pages.parquet"),
+        extraction.ExtractionConfig(),
+    )
+    assert built == []
+    assert ds.count() > 0
+    assert built == []
