@@ -127,44 +127,12 @@ def _q_extract_error_tally(sf_dir: str):
     return error_tally(_extract_ds(sf_dir))
 
 
-def _q_image_features(sf_dir: str):
-    import math
-
-    import pyarrow as pa
-
-    from rika_ray.pipelines.extraction import read_web_pages
-    from rika_ray.pipelines.multimodal import image_feature_pipeline
-
-    corpus = _corpus_path(sf_dir)
-    ds = read_web_pages(f"{corpus}/web_pages.parquet")
-
-    def _dense(batch: pa.Table) -> pa.Table:
-        # error rows (pixel-less header stubs the real codecs refuse)
-        # carry null embeddings; surface them as NaN vectors so the
-        # driver's to_pandas tensor cast sees a uniform column
-        emb = batch["embedding"].to_pylist()
-        n = max((len(e) for e in emb if e is not None), default=11)
-        fill = [math.nan] * n
-        dense = [e if e is not None else fill for e in emb]
-        return batch.set_column(
-            batch.schema.get_field_index("embedding"),
-            "embedding",
-            pa.array(dense, pa.list_(pa.float32())),
-        )
-
-    return (
-        image_feature_pipeline(ds, target_size=(16, 16))
-        .map_batches(_dense, batch_format="pyarrow")
-        .sort("url")
-    )
-
-
 def _q_image_features_decoded(sf_dir: str):
-    """Channel means of the REAL-codec image decodes — every raster
-    format (PNG/BMP/GIF/TIFF/JPEG/PSD/ICO/lossless WebP) — vs
-    generator-computed ground truth in the golden table: pins the whole
-    decode → resize → feature path at the driver level. The rows-only
-    ``image_features`` query keeps the full output incl. error rows."""
+    """Channel means of the image decodes — every raster format
+    (PNG/BMP/GIF/TIFF/JPEG/PSD/ICO/lossless WebP) — vs generator-computed
+    ground truth in the golden table: pins the whole decode → resize →
+    feature path at the driver level. Rows a codec refuses (header-only
+    PSD/ICO, VP8X-only WebP) are error rows and carry no ground truth."""
     import pyarrow as pa
     import pyarrow.compute as pc
 
@@ -175,23 +143,7 @@ def _q_image_features_decoded(sf_dir: str):
     ds = read_web_pages(f"{corpus}/web_pages.parquet")
 
     def _means(batch: pa.Table) -> pa.Table:
-        keep = pc.is_in(
-            batch["format"],
-            value_set=pa.array(
-                [
-                    "image/png",
-                    "image/bmp",
-                    "image/gif",
-                    "image/tiff",
-                    "image/jpeg",
-                    "image/vnd.adobe.photoshop",
-                    "image/vnd.microsoft.icon",
-                    "image/webp",
-                ],
-                pa.string(),
-            ),
-        )
-        batch = batch.filter(pc.fill_null(keep, False))
+        batch = batch.filter(pc.is_null(batch["error"]))
         emb = batch["embedding"].combine_chunks()
         # feature vector layout: [mean_r, mean_g, mean_b, hist...] —
         # flat-buffer slices, no per-row as_py()
@@ -219,8 +171,8 @@ def _q_audio_features_decoded(sf_dir: str):
     """Frame count + mean frame energy of the REAL-codec audio decodes
     (RIFF/WAVE PCM, native FLAC with Rice/fixed/LPC subframes) vs
     generator-computed ground truth in the golden table — the audio twin
-    of ``image_features_decoded``. Formats without a pure-Python decoder
-    (MP3/Vorbis, stub PCM) are excluded here and stay rows-only."""
+    of ``image_features_decoded``. Formats without a decoder (MP3/Vorbis)
+    are error rows and are excluded here."""
     import pyarrow as pa
     import pyarrow.compute as pc
 
@@ -248,32 +200,17 @@ def _q_audio_features_decoded(sf_dir: str):
 
 
 def _q_video_features_decoded(sf_dir: str):
-    """Sampled-frame count + mean per-frame channel means of the
-    REAL-codec video decodes (Motion-JPEG AVI: per-frame baseline JPEG)
-    vs generator ground truth — the video twin of the image/audio decode
-    oracles. Stub-decoded containers (MP4) are excluded by the AVI
-    magic filter."""
-    import pyarrow as pa
-
+    """Sampled-frame count + mean per-frame channel means of the video
+    decodes (Motion-JPEG AVI: per-frame baseline JPEG) vs generator
+    ground truth — the video twin of the image/audio decode oracles.
+    Containers without a decoder (MP4) are error rows, which
+    ``video_means`` drops."""
     from rika_ray.pipelines.extraction import read_web_pages
     from rika_ray.pipelines.multimodal import video_frame_pipeline, video_means
 
     corpus = _corpus_path(sf_dir)
-
-    def _is_avi(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        head = pc.binary_slice(batch["html"], 0, 12).to_pylist()
-        keep = [
-            bool(p) and p[:4] == b"RIFF" and p[8:12] == b"AVI " for p in head
-        ]
-        return batch.filter(pa.array(keep, pa.bool_()))
-
-    avi = read_web_pages(f"{corpus}/web_pages.parquet").map_batches(
-        _is_avi, batch_format="pyarrow"
-    )
     return (
-        video_frame_pipeline(avi, only_video=False)
+        video_frame_pipeline(read_web_pages(f"{corpus}/web_pages.parquet"))
         .map_batches(video_means, batch_format="pyarrow")
         .sort("url")
     )
@@ -327,9 +264,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
     from rika_ray.pipelines import dedup, relational, similarity, text_analysis
 
     return {
-        # --- multimodal plumbing (rows-only: stubbed codec) ---
-        "image_features": _q_image_features,
-        # --- real-codec decode vs generator ground truth (SQL-oracled) ---
+        # --- multimodal decode vs generator ground truth (SQL-oracled) ---
         "image_features_decoded": _q_image_features_decoded,
         "audio_features_decoded": _q_audio_features_decoded,
         "video_features_decoded": _q_video_features_decoded,
@@ -379,11 +314,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "curated_docs": _q_curated_docs,
         # --- dedup ---
         "dedup_exact_hashed": dedup.dedup_exact_survivors,
-        "minhash_lsh_pairs": dedup.minhash_lsh_pairs,
         "minhash_pair_set": dedup.minhash_pair_set,
         "neardup_clusters": dedup.neardup_clusters,
         "verify_jaccard_pairs": dedup.verify_jaccard_pairs,
-        "simhash_signatures": dedup.simhash_signatures,
         # oracle_features: MD5 feature hashes so the DuckDB oracle can
         # recompute the exact signatures; production default is the
         # vectorized feature hash (same pair geometry, planted-test-pinned)

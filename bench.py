@@ -139,8 +139,8 @@ def _timed_queries(sf_dir: str) -> dict[str, float]:
         "doc_token_counts",
         "quality_scores",
         "lang_id",
-        "simhash_signatures",
-        "minhash_lsh_pairs",
+        "simhash_neardup_pairs",
+        "minhash_pair_set",
         "ann_topk_bruteforce",
     ]
     out: dict[str, float] = {}

@@ -517,49 +517,6 @@ def verify_jaccard_pairs(
 # ---------------------------------------------------------------------------
 
 
-def _segmented_simhash64(
-    flat: list[str], offsets: np.ndarray
-) -> np.ndarray:
-    """64-bit SimHash for each feature segment of ``flat`` (doc i owns
-    ``flat[offsets[i]:offsets[i+1]]``, every segment non-empty): ONE
-    ``pd.util.hash_array`` call for the whole batch, bit votes as a
-    segmented `np.add.reduceat` — no per-feature Python in the hot path."""
-    h = pd.util.hash_array(np.asarray(flat, dtype=object))
-    bits = np.unpackbits(
-        h.view(np.uint8).reshape(-1, 8), axis=1, bitorder="little"
-    ).astype(np.int64)
-    seg = np.add.reduceat(bits, offsets[:-1], axis=0)  # (n_docs, 64)
-    # signed accumulation — the uint sum would wrap on the subtraction
-    votes = seg * 2 - np.diff(offsets)[:, None]  # ±1 votes per feature
-    return (
-        np.packbits((votes > 0).astype(np.uint8), axis=1, bitorder="little")
-        .view(np.uint64)
-        .ravel()
-    )
-
-
-def simhash64_batch(texts: list[str]) -> np.ndarray:
-    """Vectorized 64-bit SimHash per text over word unigram features."""
-    n = len(texts)
-    if n == 0:
-        return np.empty(0, dtype=np.uint64)
-    flat: list[str] = []
-    offsets = np.empty(n + 1, dtype=np.int64)
-    offsets[0] = 0
-    empty = np.zeros(n, dtype=bool)
-    for i, text in enumerate(texts):
-        toks = set(tokenize(text or ""))
-        if not toks:
-            empty[i] = True
-            flat.append("")  # placeholder keeps segments non-empty
-        else:
-            flat.extend(toks)
-        offsets[i + 1] = len(flat)
-    out = _segmented_simhash64(flat, offsets)
-    out[empty] = 0  # historical contract: featureless text → 0 signature
-    return out
-
-
 def shingle_simhash64_batch(texts: list[str]) -> np.ndarray:
     """Production 64-bit SimHash over 3-word-shingle features — the fast
     twin of ``_md5_shingle_simhash64`` (which exists ONLY so the SQL
@@ -586,25 +543,19 @@ def shingle_simhash64_batch(texts: list[str]) -> np.ndarray:
                 }
             )
         offsets[i + 1] = len(flat)
-    return _segmented_simhash64(flat, offsets)
-
-
-def simhash64(text: str) -> int:
-    return int(simhash64_batch([text])[0])
-
-
-def _simhash_rows(batch: pa.Table) -> pa.Table:
-    hashes = simhash64_batch(batch["text"].to_pylist())
-    return pa.table(
-        {"doc_id": batch["doc_id"], "simhash": pa.array(hashes, pa.uint64())}
-    )
-
-
-def simhash_signatures(sf_dir: str) -> ray.data.Dataset:
+    # ONE ``pd.util.hash_array`` call for the whole batch, bit votes as a
+    # segmented ``np.add.reduceat`` — no per-feature Python in the hot path
+    h = pd.util.hash_array(np.asarray(flat, dtype=object))
+    bits = np.unpackbits(
+        h.view(np.uint8).reshape(-1, 8), axis=1, bitorder="little"
+    ).astype(np.int64)
+    seg = np.add.reduceat(bits, offsets[:-1], axis=0)  # (n_docs, 64)
+    # signed accumulation — the uint sum would wrap on the subtraction
+    votes = seg * 2 - np.diff(offsets)[:, None]  # ±1 votes per feature
     return (
-        _docs(sf_dir, ["doc_id", "text"])
-        .map_batches(_simhash_rows, batch_format="pyarrow", batch_size=1024)
-        .sort("doc_id")
+        np.packbits((votes > 0).astype(np.uint8), axis=1, bitorder="little")
+        .view(np.uint64)
+        .ravel()
     )
 
 

@@ -1,26 +1,25 @@
-"""Multimodal column plumbing (task brief "Multimodal columns" block).
+"""Multimodal columns (task brief "Multimodal columns" block).
 
 Images/audio/video ride through the engine as opaque ``large_binary``
-columns with typed metadata. The Ray-side plumbing — schemas, per-batch
-stage signatures, small batch sizes for fat binary rows, output layout —
-AND the codec step are real (``rika_ray.stages.codecs``, pure
-Python/numpy from the public format specs); only the entropy codings
-with no tractable pure-Python decode (MP3/Vorbis audio, H.264-family
-video) keep a clearly-marked deterministic stub:
+columns with typed metadata. Each media family has ONE decode path: a
+table from the sniffed media type to a codec of
+``rika_ray.stages.codecs`` (pure Python/numpy, written from the public
+format specs):
 
-- header parsing (dimensions, format) is REAL (rika_ray.stages.image_meta);
-- pixel/PCM decode is REAL for every raster format — PNG (stdlib zlib +
-  unfilter), baseline JPEG (pure-numpy Huffman + IDCT), GIF (LZW),
-  baseline TIFF (raw/PackBits strips), lossless WebP (VP8L prefix codes
-  + LZ77), PSD composites (raw/PackBits planes), ICO (BMP-DIB and PNG
-  entries), uncompressed BMP — and for RIFF/WAVE PCM and native FLAC
-  (Rice + fixed/LPC predictors) (``rika_ray.stages.codecs``); only
-  MP3/Vorbis audio uses a clearly-marked deterministic fake (or PIL /
-  a real audio lib when importable);
-- video frame decode is REAL for Motion-JPEG AVI (frames sampled
-  BEFORE decoding); other containers (MP4/H.264) use the stub;
-- resize / feature-extract / frame-sample are REAL numpy math over the
-  decoded arrays (they work identically on stub or real frames).
+- images: header dimensions are parsed first
+  (``rika_ray.stages.image_meta``), then PNG (stdlib zlib + unfilter),
+  baseline JPEG (Huffman + IDCT), GIF (LZW), baseline TIFF
+  (raw/PackBits strips), lossless WebP (VP8L prefix codes + LZ77), PSD
+  composites (raw/PackBits planes), ICO (BMP-DIB and PNG entries) and
+  uncompressed BMP decode to pixels;
+- audio: RIFF/WAVE integer PCM and native FLAC (Rice + fixed/LPC
+  predictors) decode to PCM;
+- video: Motion-JPEG AVI decodes to frames, sampled BEFORE decoding.
+
+A payload no codec here can decode (MP3/Vorbis audio, MP4/H.264 video,
+lossy WebP, a truncated file) raises ``CodecError``; its stage turns that
+into an error row (§2.8) instead of inventing features. Resize, feature
+extraction and frame sampling are numpy math over the decoded arrays.
 
 Scale notes: each decode stage is built once where the plan is made and
 runs as plain tasks (no standing actor reservation, so the pipelines run
@@ -32,77 +31,88 @@ payloads; decoded pixels are emitted as fixed-shape ``large_list<uint8>``
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data
 
+from rika_ray.stages import codecs
+from rika_ray.stages.codecs import CodecError
 from rika_ray.stages.image_meta import (
     ImageParseError,
+    bmp_dimensions,
     gif_dimensions,
+    ico_dimensions,
     jpeg_dimensions,
     png_dimensions,
+    psd_dimensions,
+    tiff_dimensions,
+    webp_dimensions,
 )
-from rika_ray.stages.sniff import sniff_bytes
+from rika_ray.stages.sniff import (
+    AVI,
+    BMP,
+    FLAC,
+    GIF,
+    ICO,
+    JPEG,
+    PNG,
+    PSD,
+    SVG,
+    TIFF,
+    WAV,
+    WEBP,
+    sniff_bytes,
+)
 
-try:  # real decoder if present (not in this container)
-    from PIL import Image as _PIL_Image  # noqa: F401
+# media type -> (header dimensions, pixel decode)
+_IMAGE_CODECS = {
+    JPEG: (jpeg_dimensions, codecs.jpeg_decode),
+    PNG: (png_dimensions, codecs.png_decode),
+    GIF: (gif_dimensions, codecs.gif_decode),
+    TIFF: (tiff_dimensions, codecs.tiff_decode),
+    BMP: (bmp_dimensions, codecs.bmp_decode),
+    WEBP: (webp_dimensions, codecs.vp8l_decode),
+    PSD: (psd_dimensions, codecs.psd_decode),
+    ICO: (ico_dimensions, codecs.ico_decode),
+}
+# media type -> PCM decode returning (samples, rate)
+_AUDIO_CODECS = {WAV: codecs.wav_pcm_decode, FLAC: codecs.flac_decode}
+# video frame sampling: every FRAME_EVERY-th frame, at most MAX_FRAMES
+FRAME_EVERY = 6
+MAX_FRAMES = 8
 
-    HAVE_PIL = True
-except ImportError:
-    HAVE_PIL = False
+
+def _sniff(payload: bytes) -> str:
+    return sniff_bytes(payload[:2048], payload[-4096:])
+
+
+def _sniff_filter(batch: pa.Table, family: str) -> pa.Table:
+    """The rows of ``batch`` whose sniffed media type is in ``family``
+    (e.g. ``"image/"``). It runs BEFORE a decoder, so other documents
+    never reach it, and reads bounded windows only (like the sniff
+    stage): a multi-MB payload is never copied to Python bytes just to
+    read its magic. SVG is image/* but vector — it has no pixel grid and
+    is extracted as text by the extraction pipeline instead."""
+    prefixes = pc.binary_slice(batch["html"], 0, 2048).to_pylist()
+    suffixes = pc.binary_slice(batch["html"], -4096, None).to_pylist()
+    keep = [
+        bool(p) and (m := sniff_bytes(p, s)).startswith(family) and m != SVG
+        for p, s in zip(prefixes, suffixes)
+    ]
+    return batch.filter(pa.array(keep, pa.bool_()))
 
 
 def decode_image(payload: bytes) -> tuple[np.ndarray, str]:
     """(pixels HxWx3 uint8, format). Header dims are parsed first, so a
-    non-image fails with the typed error; then every supported raster
-    format is decoded for real (PIL when importable, else the pure-numpy
-    codecs of ``rika_ray.stages.codecs``)."""
-    from rika_ray.stages.image_meta import (
-        bmp_dimensions,
-        ico_dimensions,
-        psd_dimensions,
-        tiff_dimensions,
-        webp_dimensions,
-    )
-
-    media = sniff_bytes(payload[:2048], payload[-4096:])
-    dims = {
-        "image/jpeg": jpeg_dimensions,
-        "image/png": png_dimensions,
-        "image/gif": gif_dimensions,
-        "image/tiff": tiff_dimensions,
-        "image/bmp": bmp_dimensions,
-        "image/webp": webp_dimensions,
-        "image/vnd.adobe.photoshop": psd_dimensions,
-        "image/vnd.microsoft.icon": ico_dimensions,
-    }.get(media)
-    if dims is None:
+    non-image fails with the typed ``ImageParseError``; a truncated file
+    or an unsupported variant (lossy-VP8 WebP, header-only PSD) raises
+    ``CodecError``."""
+    media = _sniff(payload)
+    if media not in _IMAGE_CODECS:
         raise ImageParseError(f"not a supported image: {media}")
-    w, h = dims(payload)
-    if HAVE_PIL:  # pragma: no cover - not available in this container
-        import io
-
-        img = _PIL_Image.open(io.BytesIO(payload)).convert("RGB")
-        return np.asarray(img, dtype=np.uint8), media
-    # REAL pure-numpy decode for EVERY supported raster format
-    # (rika_ray.stages.codecs). A CodecError from a truncated or
-    # unsupported-variant file (e.g. lossy-VP8 WebP, header-only PSD)
-    # propagates — ImageDecodeStage turns it into an error row (§2.8),
-    # exactly like a real codec library would.
-    from rika_ray.stages import codecs
-
-    real = {
-        "image/png": codecs.png_decode,
-        "image/bmp": codecs.bmp_decode,
-        "image/jpeg": codecs.jpeg_decode,
-        "image/gif": codecs.gif_decode,
-        "image/tiff": codecs.tiff_decode,
-        "image/webp": codecs.vp8l_decode,
-        "image/vnd.adobe.photoshop": codecs.psd_decode,
-        "image/vnd.microsoft.icon": codecs.ico_decode,
-    }[media]
-    _ = (w, h)  # dims pre-parse keeps the typed not-an-image error first
-    return real(payload), media
+    dims, decode = _IMAGE_CODECS[media]
+    dims(payload)
+    return decode(payload), media
 
 
 def resize_nearest(pixels: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -228,58 +238,30 @@ def image_feature_pipeline(
     def _features(batch: pa.Table) -> pa.Table:
         return featurizer(batch)
 
-    def _only_images(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        # bounded windows only (like the sniff stage) — never materialize
-        # a multi-MB payload to Python bytes just to read its magic
-        prefixes = pc.binary_slice(batch["html"], 0, 2048).to_pylist()
-        suffixes = pc.binary_slice(batch["html"], -4096, None).to_pylist()
-        # raster types only: SVG is image/* but vector — it has no pixel
-        # grid to decode/resize and is extracted as text by the extraction
-        # pipeline instead
-        keep = [
-            bool(p)
-            and (m := sniff_bytes(p, s)).startswith("image/")
-            and m != "image/svg+xml"
-            for p, s in zip(prefixes, suffixes)
-        ]
-        return batch.filter(pa.array(keep, pa.bool_()))
-
     return (
-        web_pages.map_batches(_only_images, batch_format="pyarrow")
+        web_pages.map_batches(
+            _sniff_filter, batch_format="pyarrow", fn_kwargs={"family": "image/"}
+        )
         .map_batches(_decode, batch_format="pyarrow", batch_size=32)
         .map_batches(_features, batch_format="pyarrow", batch_size=32)
     )
 
 
-# ---------------------------------------------------------------------------
-# Audio: stubbed decode + REAL frame sampling
-# ---------------------------------------------------------------------------
 
 
-def decode_audio_stub(payload: bytes, sample_rate: int = 16000) -> np.ndarray:
-    """Deterministic FAKE PCM decode (1 s of hash-seeded float32 samples).
-    Replace with soundfile/librosa when available."""
-    seed = int(pd.util.hash_array(np.asarray([payload], dtype=object))[0]) & 0x7FFFFFFF
-    rng = np.random.RandomState(seed)
-    return rng.standard_normal(sample_rate).astype(np.float32)
+# ---------------------------------------------------------------------------
+# Audio: PCM decode + frame sampling
+# ---------------------------------------------------------------------------
 
 
 def decode_audio(payload: bytes) -> np.ndarray:
-    """Mono float32 PCM: REAL decode for RIFF/WAVE integer PCM and for
-    native FLAC (pure Python/numpy Rice + fixed/LPC predictors,
-    ``rika_ray.stages.codecs``); the deterministic stub covers the
-    codecs the container has no decoder for (MP3/Vorbis)."""
-    from rika_ray.stages import codecs
-
-    if payload[:4] == b"RIFF" and payload[8:12] == b"WAVE":
-        samples, _rate = codecs.wav_pcm_decode(payload)
-        return samples
-    if payload[:4] == b"fLaC":
-        samples, _rate = codecs.flac_decode(payload)
-        return samples
-    return decode_audio_stub(payload)
+    """Mono float32 PCM of a RIFF/WAVE integer-PCM or native FLAC
+    payload; any other audio codec (MP3, Vorbis) raises ``CodecError``."""
+    media = _sniff(payload)
+    if media not in _AUDIO_CODECS:
+        raise CodecError(f"unsupported audio codec: {media}")
+    samples, _rate = _AUDIO_CODECS[media](payload)
+    return samples
 
 
 def frame_sample(
@@ -295,15 +277,14 @@ def frame_sample(
 
 class AudioFrameStage:
     """Per-batch stage: binary audio rows → sniffed format + per-row
-    frame count + frame energy summary (REAL math over the decoded PCM —
-    real decode for WAV/FLAC, stub for MP3/Vorbis). Corrupt rows become
-    error rows (§2.8), like ``ImageDecodeStage``."""
+    frame count + frame energy summary over the decoded PCM. Undecodable
+    rows become error rows (§2.8), like ``ImageDecodeStage``."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         formats, n_frames, energies, errors = [], [], [], []
         for i in range(len(batch)):
             payload = batch["html"][i].as_py() or b""
-            formats.append(sniff_bytes(payload[:2048], payload[-4096:]))
+            formats.append(_sniff(payload))
             try:
                 frames = frame_sample(decode_audio(payload))
                 n_frames.append(frames.shape[0])
@@ -335,92 +316,41 @@ def audio_frame_pipeline(web_pages: ray.data.Dataset) -> ray.data.Dataset:
     def _frames(batch: pa.Table) -> pa.Table:
         return framer(batch)
 
-    def _only_audio(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        prefixes = pc.binary_slice(batch["html"], 0, 2048).to_pylist()
-        suffixes = pc.binary_slice(batch["html"], -4096, None).to_pylist()
-        keep = [
-            bool(p) and sniff_bytes(p, s).startswith("audio/")
-            for p, s in zip(prefixes, suffixes)
-        ]
-        return batch.filter(pa.array(keep, pa.bool_()))
-
-    return web_pages.map_batches(_only_audio, batch_format="pyarrow").map_batches(
-        _frames, batch_format="pyarrow", batch_size=32
-    )
+    return web_pages.map_batches(
+        _sniff_filter, batch_format="pyarrow", fn_kwargs={"family": "audio/"}
+    ).map_batches(_frames, batch_format="pyarrow", batch_size=32)
 
 
 # ---------------------------------------------------------------------------
-# Video: stubbed frame decode + REAL frame sampling / per-frame features
+# Video: sampled frame decode + per-frame features
 # ---------------------------------------------------------------------------
 
 
-def decode_video_stub(
-    payload: bytes, n_frames: int = 24, height: int = 36, width: int = 64
-) -> np.ndarray:
-    """Deterministic FAKE video decode: (n_frames, H, W, 3) uint8 frames
-    seeded from the payload hash — stands in for the codec only (PyAV /
-    ffmpeg not in this container); shape/dtype/layout match a real
-    decode."""
-    seed = (
-        int(
-            pd.util.hash_array(
-                np.asarray([payload], dtype=object), categorize=False
-            )[0]
-        )
-        & 0x7FFFFFFF
-    )
-    rng = np.random.RandomState(seed)
-    return rng.randint(
-        0, 256, size=(n_frames, height, width, 3), dtype=np.uint8
-    )
-
-
-def sample_frames(
-    frames: np.ndarray, every: int = 6, max_frames: int = 8
-) -> np.ndarray:
-    """REAL frame sampling: every ``every``-th frame, capped — the
-    standard keyframe-ish subsampling for video feature extraction."""
-    return frames[::every][:max_frames]
-
-
-def decode_video_frames(
-    payload: bytes, every: int = 6, max_frames: int = 8
-) -> np.ndarray:
-    """Sampled decoded frames ``(k, H, W, 3)``. REAL decode for
-    Motion-JPEG AVI — frame chunks are sampled BEFORE decoding so only
-    the kept frames pay the JPEG decode (``rika_ray.stages.codecs``);
-    other containers (MP4/H.264 etc.) fall back to the deterministic
-    stub, sampled identically."""
-    if payload[:4] == b"RIFF" and payload[8:12] == b"AVI ":
-        from rika_ray.stages.codecs import avi_mjpeg_frames, jpeg_decode
-
-        blobs = avi_mjpeg_frames(payload)[::every][:max_frames]
-        if not blobs:
-            return np.empty((0, 0, 0, 3), np.uint8)
-        return np.stack([jpeg_decode(b) for b in blobs])
-    return sample_frames(decode_video_stub(payload), every, max_frames)
+def decode_video_frames(payload: bytes) -> np.ndarray:
+    """Sampled decoded frames ``(k, H, W, 3)`` of a Motion-JPEG AVI:
+    frame chunks are sampled BEFORE decoding, so only the kept frames pay
+    the JPEG decode. Any other container (MP4/H.264) raises
+    ``CodecError``."""
+    media = _sniff(payload)
+    if media != AVI:
+        raise CodecError(f"unsupported video codec: {media}")
+    blobs = codecs.avi_mjpeg_frames(payload)[::FRAME_EVERY][:MAX_FRAMES]
+    if not blobs:
+        return np.empty((0, 0, 0, 3), np.uint8)
+    return np.stack([codecs.jpeg_decode(b) for b in blobs])
 
 
 class VideoFrameStage:
     """Per-batch stage: binary video rows → sampled-frame count + a
-    per-video feature vector (mean of per-frame image features — REAL
-    numpy math; REAL frames for MJPEG AVI, stub frames elsewhere).
-    Corrupt rows become error rows (§2.8)."""
-
-    def __init__(self, every: int = 6, max_frames: int = 8) -> None:
-        self.every = every
-        self.max_frames = max_frames
+    per-video feature vector (mean of per-frame image features).
+    Undecodable rows become error rows (§2.8)."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         n_sampled, feats, errors = [], [], []
         for i in range(len(batch)):
             payload = batch["html"][i].as_py() or b""
             try:
-                frames = decode_video_frames(
-                    payload, self.every, self.max_frames
-                )
+                frames = decode_video_frames(payload)
                 n_sampled.append(frames.shape[0])
                 if frames.shape[0]:
                     per_frame = np.stack([image_features(f) for f in frames])
@@ -447,8 +377,6 @@ def video_means(batch: pa.Table) -> pa.Table:
     means. Error rows are dropped first: their embedding is null, and the
     flat-buffer slices below index the embedding values by list offsets,
     so a null would hand its row another video's values."""
-    import pyarrow.compute as pc
-
     batch = batch.filter(pc.is_null(batch["error"]))
     emb = batch["embedding"].combine_chunks()
     flat = emb.values.to_numpy(zero_copy_only=False)
@@ -464,33 +392,15 @@ def video_means(batch: pa.Table) -> pa.Table:
     )
 
 
-def video_frame_pipeline(
-    web_pages: ray.data.Dataset,
-    every: int = 6,
-    max_frames: int = 8,
-    only_video: bool = True,
-) -> ray.data.Dataset:
-    """web_pages → per-video sampled-frame features. batch_size is tiny
-    (8): decoded frame stacks are the fattest rows in the engine
-    (~166 KB/video at stub size, multi-MB real). ``only_video`` sniffs
-    video/* BEFORE the decoder (like the image/audio pipelines); pass
-    False to force arbitrary payloads through the stub path."""
-    sampler = VideoFrameStage(every, max_frames)
+def video_frame_pipeline(web_pages: ray.data.Dataset) -> ray.data.Dataset:
+    """web_pages → video rows only → per-video sampled-frame features.
+    batch_size is tiny (8): decoded frame stacks are the fattest rows in
+    the engine (multi-MB per video)."""
+    sampler = VideoFrameStage()
 
     def _sampled(batch: pa.Table) -> pa.Table:
         return sampler(batch)
 
-    if only_video:
-        def _only_video(batch: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-
-            prefixes = pc.binary_slice(batch["html"], 0, 2048).to_pylist()
-            suffixes = pc.binary_slice(batch["html"], -4096, None).to_pylist()
-            keep = [
-                bool(p) and sniff_bytes(p, s).startswith("video/")
-                for p, s in zip(prefixes, suffixes)
-            ]
-            return batch.filter(pa.array(keep, pa.bool_()))
-
-        web_pages = web_pages.map_batches(_only_video, batch_format="pyarrow")
-    return web_pages.map_batches(_sampled, batch_format="pyarrow", batch_size=8)
+    return web_pages.map_batches(
+        _sniff_filter, batch_format="pyarrow", fn_kwargs={"family": "video/"}
+    ).map_batches(_sampled, batch_format="pyarrow", batch_size=8)

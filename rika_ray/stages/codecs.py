@@ -1,16 +1,18 @@
-"""Pure-Python/numpy pixel and PCM codecs for the multimodal block.
+"""Pure-Python/numpy pixel, PCM and video-frame codecs for the
+multimodal block.
 
-The container carries no imaging/audio library, so the decode paths are
-implemented here for real from the public specs: PNG (zlib inflate —
+The engine depends on no imaging/audio library, so the decode paths are
+implemented here from the public specs: PNG (zlib inflate —
 stdlib — plus per-scanline unfilter), baseline sequential JPEG (ITU
 T.81: stream-read quant/Huffman tables, DPCM/run-length entropy decode,
 vectorized dequant + IDCT, YCbCr→RGB), GIF (variable-width LZW), baseline
 TIFF (raw or PackBits strips, both byte orders), uncompressed BMP (row
-flip + BGR swizzle), and RIFF/WAVE PCM. Each decoder has a matching
+flip + BGR swizzle), PSD composites, ICO, lossless WebP (VP8L), RIFF/WAVE
+PCM, native FLAC and Motion-JPEG AVI frames. Each decoder has a matching
 encoder so fixtures and tests share one spec implementation and
-round-trip losslessly (JPEG: within quantization tolerance). Only
-WebP/PSD/ICO pixels remain behind the clearly-marked deterministic stub
-in ``rika_ray.pipelines.multimodal`` unless PIL is importable.
+round-trip losslessly (JPEG: within quantization tolerance). A payload
+outside these (lossy WebP, MP3, MP4, a truncated file) raises
+``CodecError``.
 
 The reference never decodes pixels (rika/Tika read image *metadata*
 only, ``/root/reference/lib/rika/parser.rb``); this module serves the

@@ -1,6 +1,6 @@
 """Pure-numpy codec goldens: PNG unfilter paths, BMP row
 flip/padding/swizzle, WAV PCM normalization — plus the multimodal
-pipeline preferring the real decode over the stub."""
+decode dispatching each format to its codec."""
 
 from __future__ import annotations
 
@@ -135,10 +135,8 @@ def test_wav_pcm_decode_8bit_and_silence():
 
 def test_decode_image_uses_real_codec_for_png_and_bmp():
     from rika_ray import docgen
-    from rika_ray.pipelines.multimodal import HAVE_PIL, decode_image
+    from rika_ray.pipelines.multimodal import decode_image
 
-    if HAVE_PIL:
-        pytest.skip("PIL present: it owns the decode")
     px = _grad(12, 10, seed=4)
     got, media = decode_image(docgen.build_png_rgb(px, filters=[2] * 12))
     assert media == "image/png" and (got == px).all()

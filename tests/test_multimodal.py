@@ -1,5 +1,5 @@
-"""Multimodal plumbing tests: real header parse + resize/feature math,
-deterministic stub decode, Ray pipeline layout."""
+"""Multimodal tests: header parse + decode + resize/feature math, error
+rows for codecs the engine does not decode, Ray pipeline layout."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from rika_ray import docgen
 from rika_ray.pipelines.multimodal import (
     AudioFrameStage,
     ImageDecodeStage,
-    decode_audio_stub,
+    VideoFrameStage,
     decode_image,
     frame_sample,
     image_feature_pipeline,
@@ -65,14 +65,6 @@ def test_frame_sampling():
     assert frame_sample(np.empty(0, np.float32)).shape == (0, 400)
 
 
-def test_audio_stub_deterministic():
-    a = decode_audio_stub(b"payload-bytes")
-    b = decode_audio_stub(b"payload-bytes")
-    c = decode_audio_stub(b"other")
-    assert (a == b).all() and not (a == c).all()
-    assert a.shape == (16000,)
-
-
 def test_image_pipeline_over_corpus(ray_session, corpus_dir):
     import ray.data
 
@@ -122,52 +114,55 @@ def test_decode_stage_poison_rows(ray_session):
 def test_audio_stage_batch():
     import pyarrow as pa
 
+    wav = docgen.build_wav(16000, 1, 16, samples=docgen.tone_samples(16000, 16000))
     batch = pa.table(
-        {"url": ["a"], "html": pa.array([b"fakeaudio"], pa.large_binary())}
+        {"url": ["a", "b"], "html": pa.array([wav, b"fakeaudio"], pa.large_binary())}
     )
     out = AudioFrameStage()(batch).to_pylist()
-    assert out[0]["n_frames"] == 98
+    assert out[0]["error"] is None
+    assert out[0]["n_frames"] == 98  # 1 s at 16 kHz: 400-sample frames, hop 160
     assert out[0]["mean_energy"] > 0
+    # bytes no codec decodes are an error row, not made-up PCM
+    assert out[1]["error"].startswith("CodecError: unsupported audio codec")
+    assert out[1]["n_frames"] is None and out[1]["mean_energy"] is None
 
 
 def test_video_frame_sampling_math():
-    """REAL sampling math over the stubbed decode: every 6th frame capped
-    at 8, deterministic per payload."""
-    import numpy as np
+    """Every 6th frame is decoded, at most 8: a 60-frame clip keeps
+    frames 0, 6, ..., 42."""
+    from rika_ray.pipelines.multimodal import decode_video_frames
+    from rika_ray.stages.codecs import avi_mjpeg_frames, jpeg_decode
 
-    from rika_ray.pipelines.multimodal import (
-        decode_video_stub,
-        sample_frames,
-    )
-
-    frames = decode_video_stub(b"clip-bytes", n_frames=24)
-    assert frames.shape == (24, 36, 64, 3) and frames.dtype == np.uint8
-    sampled = sample_frames(frames, every=6, max_frames=8)
-    assert sampled.shape[0] == 4  # 24/6
-    assert (sampled[1] == frames[6]).all()
-    assert (decode_video_stub(b"clip-bytes") == frames).all()
-    assert not (decode_video_stub(b"other") == frames).all()
+    src = np.stack([docgen.gradient_pixels(8, 8, seed=i) for i in range(60)])
+    avi = docgen.build_avi_mjpeg(src)
+    sampled = decode_video_frames(avi)
+    assert sampled.shape == (8, 8, 8, 3) and sampled.dtype == np.uint8
+    blobs = avi_mjpeg_frames(avi)
+    assert (sampled[1] == jpeg_decode(blobs[6])).all()
+    assert (sampled[7] == jpeg_decode(blobs[42])).all()
 
 
-def test_video_stage_batch(ray_session):
+def test_video_stage_batch():
     import pyarrow as pa
-    import ray.data
 
-    from rika_ray.pipelines.multimodal import video_frame_pipeline
-
+    avi = docgen.build_avi_mjpeg(
+        np.stack([docgen.gradient_pixels(8, 8, seed=i) for i in range(24)])
+    )
     tbl = pa.table(
         {
-            "url": pa.array(["v://a", "v://b"], pa.string()),
-            "html": pa.array([b"videobytes-a", b"videobytes-b"], pa.large_binary()),
+            "url": pa.array(["v://avi", "v://mp4", "v://bytes"], pa.string()),
+            "html": pa.array(
+                [avi, docgen.build_mp4(), b"videobytes"], pa.large_binary()
+            ),
         }
     )
-    out = video_frame_pipeline(
-        ray.data.from_arrow(tbl), only_video=False
-    ).take_all()
-    assert len(out) == 2
-    for r in out:
-        assert r["n_frames_sampled"] == 4
-        assert len(r["embedding"]) == 11  # 3 channel means + 8 hist bins
+    avi_row, mp4_row, bytes_row = VideoFrameStage()(tbl).to_pylist()
+    assert avi_row["error"] is None and avi_row["n_frames_sampled"] == 4  # 24/6
+    assert len(avi_row["embedding"]) == 11  # 3 channel means + 8 hist bins
+    assert mp4_row["error"] == "CodecError: unsupported video codec: video/mp4"
+    for r in (mp4_row, bytes_row):
+        assert r["error"].startswith("CodecError")
+        assert r["n_frames_sampled"] is None and r["embedding"] is None
 
 
 def test_video_means_skips_error_rows():
@@ -197,34 +192,10 @@ def test_video_means_skips_error_rows():
     ]
 
 
-@pytest.mark.skipif(
-    not __import__("rika_ray.pipelines.multimodal", fromlist=["HAVE_PIL"]).HAVE_PIL,
-    reason="PIL not installed — real-decoder branch has no codec to drive",
-)
-def test_decode_image_real_pil_branch():
-    """Covers the PIL-backed branch of decode_image the moment the
-    container gains the library: a real PNG decode must return the actual
-    pixel values (not the deterministic fake), already RGB-converted."""
-    import io
-
-    from PIL import Image
-
-    from rika_ray.pipelines.multimodal import decode_image
-
-    # 2x1 image with known pixels, round-tripped through a real PNG encode
-    ref = np.array([[[255, 0, 0], [0, 128, 255]]], dtype=np.uint8)
-    buf = io.BytesIO()
-    Image.fromarray(ref, mode="RGB").save(buf, format="PNG")
-    pixels, media = decode_image(buf.getvalue())
-    assert media == "image/png"
-    assert pixels.shape == (1, 2, 3)
-    assert np.array_equal(pixels, ref)
-
-
 def test_audio_frame_pipeline_real_decodes(ray_session, tmp_path):
     """End-to-end audio pipeline over a corpus slice: wav + flac rows are
-    decoded for REAL (format-tagged, no error), compressed formats fall
-    back to the stub but still produce frame rows."""
+    decoded (format-tagged, no error); an MP3 row, which no codec here
+    decodes, is a typed error row."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
@@ -237,17 +208,23 @@ def test_audio_frame_pipeline_real_decodes(ray_session, tmp_path):
     flac = docgen.build_flac_pcm(pcm, 8000, stereo_mode="mid-side")
     wav = docgen.build_wav(8000, 2, 16, samples=pcm)
     rows = {
-        "url": ["f", "w", "h"],
-        "warc_ts": [None] * 3,
-        "html": pa.array([flac, wav, b"<html>x</html>"], pa.large_binary()),
-        "text": [None] * 3,
-        "lang": [None] * 3,
+        "url": ["f", "w", "m", "h"],
+        "warc_ts": [None] * 4,
+        "html": pa.array(
+            [flac, wav, docgen.build_mp3(title="t"), b"<html>x</html>"],
+            pa.large_binary(),
+        ),
+        "text": [None] * 4,
+        "lang": [None] * 4,
     }
     path = str(tmp_path / "pages.parquet")
     pq.write_table(pa.table(rows), path)
     out = {r["url"]: r for r in
            audio_frame_pipeline(read_web_pages(path)).take_all()}
-    assert set(out) == {"f", "w"}  # the html row never enters the pool
+    assert set(out) == {"f", "w", "m"}  # the html row never enters the pool
+    assert out["m"]["format"] == "audio/mpeg"
+    assert out["m"]["error"] == "CodecError: unsupported audio codec: audio/mpeg"
+    assert out["m"]["n_frames"] is None and out["m"]["mean_energy"] is None
     assert out["f"]["format"] == "audio/x-flac"
     assert out["w"]["format"] == "audio/vnd.wave"
     assert out["f"]["error"] is None and out["w"]["error"] is None
@@ -260,7 +237,8 @@ def test_audio_frame_pipeline_real_decodes(ray_session, tmp_path):
 
 def test_video_pipeline_real_avi(ray_session, tmp_path):
     """End-to-end video pipeline: an MJPEG AVI decodes REAL frames
-    (sampled before decode), a non-video row never enters the pool."""
+    (sampled before decode), an MP4 is a typed error row, a non-video row
+    never enters the pool."""
     import numpy as np
     import pyarrow as pa
     import pyarrow.parquet as pq
@@ -278,17 +256,21 @@ def test_video_pipeline_real_avi(ray_session, tmp_path):
     )
     avi = docgen.build_avi_mjpeg(frames, fps=6)
     rows = {
-        "url": ["v", "t"],
-        "warc_ts": [None] * 2,
-        "html": pa.array([avi, b"plain text"], pa.large_binary()),
-        "text": [None] * 2,
-        "lang": [None] * 2,
+        "url": ["v", "m", "t"],
+        "warc_ts": [None] * 3,
+        "html": pa.array(
+            [avi, docgen.build_mp4(), b"plain text"], pa.large_binary()
+        ),
+        "text": [None] * 3,
+        "lang": [None] * 3,
     }
     path = str(tmp_path / "pages.parquet")
     pq.write_table(pa.table(rows), path)
-    out = video_frame_pipeline(read_web_pages(path)).take_all()
-    assert [r["url"] for r in out] == ["v"]
-    r = out[0]
+    out = {r["url"]: r for r in video_frame_pipeline(read_web_pages(path)).take_all()}
+    assert set(out) == {"v", "m"}
+    assert out["m"]["error"].startswith("CodecError: unsupported video codec")
+    assert out["m"]["embedding"] is None
+    r = out["v"]
     assert r["error"] is None and r["n_frames_sampled"] == 2  # 12/6
     ref = np.stack(
         [image_features(f) for f in decode_video_frames(avi)]

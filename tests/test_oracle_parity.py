@@ -96,6 +96,12 @@ def _all_query_names():
     return sorted(entrymod.queries().keys())
 
 
+def test_queries_stay_within_the_cap():
+    """``queries()`` holds at most 50 entries: a caller that runs the
+    first 50 must reach every oracled query."""
+    assert len(_all_query_names()) <= 50
+
+
 @pytest.mark.parametrize("name", _all_query_names())
 def test_query_runs_and_matches_oracle(ray_session, con, name):
     import __ray_entry__ as entrymod

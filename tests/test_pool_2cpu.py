@@ -45,10 +45,9 @@ PIPELINES = [
     "quality_scores",
     "lang_id",
     # dedup
-    "minhash_lsh_pairs",
+    "minhash_pair_set",
     "verify_jaccard_pairs",
     "neardup_clusters",
-    "simhash_signatures",
     "simhash_neardup_pairs",
     "embedding_neardup_pairs",
     "embedding_neardup_exact",
