@@ -37,6 +37,12 @@ import time
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 NCPU = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
 BENCH_CORPUS_N = int(os.environ.get("RIKA_BENCH_CORPUS_N", "600"))
+# The extraction headline keeps its own block count, not the engine's
+# default of one read block per input file (``read_web_pages``): at 32 CPUs
+# that default gives ~200 coarse tasks whose ragged tail idles most CPUs
+# for seconds at a time. ~25 blocks per CPU keeps task waves smooth, capped
+# at ~500 docs per block so tiny corpora aren't over-split.
+BLOCKS_PER_CPU = 25
 
 
 def _bench_corpus() -> str:
@@ -71,6 +77,8 @@ def _run_extract(in_path: str) -> dict:
     import glob
     import shutil
 
+    import pyarrow.dataset as pads
+
     from rika_ray.pipelines.extraction import (
         ExtractionConfig,
         build_extraction_pipeline,
@@ -92,28 +100,14 @@ def _run_extract(in_path: str) -> dict:
             while f.read(1 << 24):
                 pass
 
-    # Partition granularity: ~25 blocks per CPU keeps task waves smooth
-    # (a one-block-per-file layout gives 200 coarse tasks whose ragged
-    # tail idles most of 32 CPUs for seconds at a time), capped at ~500
-    # docs per block so tiny corpora aren't over-split.
-    blocks_per_cpu = int(os.environ.get("RIKA_BLOCKS_PER_CPU", "25"))
-    if blocks_per_cpu > 0:
-        import pyarrow.dataset as _pads
-
-        total_rows = _pads.dataset(files).count_rows()  # metadata-only
-        n_blocks = max(NCPU, min(NCPU * blocks_per_cpu, total_rows // 500))
-        read_kwargs = {"override_num_blocks": n_blocks}
-    else:
-        read_kwargs = {}
+    total_rows = pads.dataset(files).count_rows()  # metadata-only
+    n_blocks = max(NCPU, min(NCPU * BLOCKS_PER_CPU, total_rows // 500))
 
     t0 = time.perf_counter()
-    ds = read_web_pages(files, **read_kwargs)
+    ds = read_web_pages(files, override_num_blocks=n_blocks)
     out = build_extraction_pipeline(ds, ExtractionConfig())
     out.write_parquet(out_dir)
     wall = time.perf_counter() - t0
-
-    import pyarrow.parquet as pq
-    import pyarrow.dataset as pads
 
     n_docs = pads.dataset(out_dir).count_rows()
     return {

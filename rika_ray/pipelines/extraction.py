@@ -4,8 +4,7 @@ web_pages Dataset
   → map_batches(fused_extract)  [sniff → extract → lang → finalize]
 
 One kernel, one layout: every batch runs the four logical stages in
-process (M1 sniff, M2-M8 router, T1 lang, M8-M11/M13 finalize), so rows
-cross the object store once, between the read and the kernel. The stages
+process (M1 sniff, M2-M8 router, T1 lang, M8-M11/M13 finalize). The stages
 stay separate classes and functions, testable on their own.
 ``shortcuts.parse`` calls the same kernel on a one-row table, without Ray.
 
@@ -14,17 +13,31 @@ standing reservation. Each worker process builds the kernel once per
 config (``kernel``) and reuses it for every batch it is given, as rika
 bootstraps Tika once per JVM; the plan carries only the config scalars.
 
+One task per input file: ``read_web_pages`` asks for one read block per
+file (more only when the files are fewer than the cluster's CPUs), and
+the kernel is mapped over whole blocks, so Ray fuses the read, the kernel
+and a following write into one operator,
+``ReadParquet->MapBatches(fused_extract)->Write``. Rows then never cross
+the object store: each task reads its file, extracts it and writes it.
+The price is memory per task: the write holds a task's whole output
+(Ray 2.49's ``ParquetDatasink.write`` lists its blocks before writing), so
+a task's peak follows one input file's extracted output, not one batch.
+Inputs should come in files sized for one worker's heap. Where the files
+are fewer than the CPUs, Ray splits their blocks to cover the CPUs, and
+the read then runs unfused.
+
 Scale design notes (§4):
 - The extraction path is shuffle-free (embarrassingly parallel); wide ops
   (error tallies, dedup) happen downstream on the much smaller extracted
   table.
 - ``batch_size`` is deliberately small: documents are multi-KB..multi-MB,
-  so a batch of 64-256 rows keeps batch × tasks in flight within worker
-  heaps; ``route_mega_docs`` additionally isolates mega-documents into
-  their own single-row blocks/batches on the SAME single scan (dynamic
-  block splitting capped at ``mega_doc_bytes`` + whole-block batches) so
-  one 100 MB page cannot stall a batch of small ones (BASELINE.json:
-  "explicit repartitioning to break skew from mega-documents").
+  so the kernel walks its block in slices of 64-256 rows, which bounds the
+  intermediate (decoded, sniffed, extracted) columns it holds at once;
+  ``route_mega_docs`` additionally isolates mega-documents into their own
+  blocks on the SAME single scan (dynamic block splitting capped at
+  ``mega_doc_bytes``) so one 100 MB page cannot stall a block of small
+  ones (BASELINE.json: "explicit repartitioning to break skew from
+  mega-documents").
 - The raw ``html`` payload is dropped inside the extract stage, so the
   kernel's output carries only extracted data.
 """
@@ -32,6 +45,7 @@ Scale design notes (§4):
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import pyarrow as pa
@@ -49,17 +63,19 @@ from rika_ray.stages.sniff import detect_content_type
 class ExtractionConfig:
     max_content_length: int = -1  # chars; -1 unlimited, 0 suppress (M11)
     key_sort: bool = True  # metadata key sort (M10)
-    batch_size: int = 128  # rows per kernel batch (docs are heavy)
+    # rows per kernel call (docs are heavy): Ray hands the task whole
+    # blocks and ``fused_extract`` slices them, so a row-count batch size
+    # cannot stop the read fusing into the kernel
+    batch_size: int = 128
     # Skew isolation for mega-documents, on the SAME single scan: the
     # dataset chain's target block size is capped at ``mega_doc_bytes``
     # (scoped via ``ds.context`` — never the process-global DataContext)
     # so Ray's dynamic block splitting finalizes a mega document into its
     # own block the moment it lands (carrying at most ``mega_doc_bytes``
-    # of small riders), and the kernel batches whole blocks
-    # (``batch_size=None``) so that block IS the mega doc's batch. No
-    # fork, no second corpus scan, no union — the cost is one object-store
-    # hop (read fusion must be broken so block building runs between read
-    # and kernel).
+    # of small riders), and that block is one task's input. No fork, no
+    # second corpus scan, no union — the cost is one object-store hop
+    # (read fusion must be broken so block building runs between read and
+    # kernel).
     route_mega_docs: bool = False
     mega_doc_bytes: int = 4 * 1024 * 1024
     # §2.9 user-extension hook: callable bytes->media_type replacing the
@@ -100,10 +116,18 @@ def kernel(max_content_length: int, key_sort: bool, detector) -> FusedExtractSta
 
 
 def fused_extract(
-    batch: pa.Table, *, max_content_length: int, key_sort: bool, detector
-) -> pa.Table:
-    """The pipeline's task: this worker's cached kernel on one batch."""
-    return kernel(max_content_length, key_sort, detector)(batch)
+    block: pa.Table,
+    *,
+    batch_size: int,
+    max_content_length: int,
+    key_sort: bool,
+    detector,
+) -> Iterator[pa.Table]:
+    """The pipeline's task: this worker's cached kernel on one block, in
+    ``batch_size``-row slices."""
+    run = kernel(max_content_length, key_sort, detector)
+    for off in range(0, block.num_rows, batch_size):
+        yield run(block.slice(off, batch_size))
 
 
 # the only input columns the extraction pipeline consumes — everything else
@@ -114,14 +138,27 @@ def fused_extract(
 EXTRACTION_INPUT_COLUMNS = ("url", "warc_ts", "html")
 
 
-def read_web_pages(path: str, **kwargs) -> ray.data.Dataset:
-    """Source S1: the web_pages Parquet table, pruned at the read to the
-    columns the extraction pipeline consumes. Pass ``columns=None`` to
-    read everything, or a list to prune differently."""
+def read_web_pages(path, **kwargs) -> ray.data.Dataset:
+    """Source S1: the web_pages Parquet table (a file, a directory or a
+    list of files), pruned at the read to the columns the extraction
+    pipeline consumes. Pass ``columns=None`` to read everything, or a list
+    to prune differently.
+
+    One read block per input file, or one per cluster CPU when the files
+    are fewer: Ray then splits no block once the files cover the CPUs, and
+    the read fuses into the kernel task (module docstring). An explicit
+    ``override_num_blocks`` wins."""
+    import pyarrow.dataset as pads
+
+    from rika_ray.pool import cluster_cpus
     from rika_ray.sources.parquet import read_parquet_clean
 
+    # one listing (hidden ``.``/``_`` files skipped, as Ray skips them);
+    # the file list also gives the schema probe its first file
+    files = pads.dataset(path, format="parquet").files
     kwargs.setdefault("columns", list(EXTRACTION_INPUT_COLUMNS))
-    return read_parquet_clean(path, **kwargs)
+    kwargs.setdefault("override_num_blocks", max(len(files), cluster_cpus()))
+    return read_parquet_clean(files, **kwargs)
 
 
 def build_extraction_pipeline(
@@ -133,7 +170,9 @@ def build_extraction_pipeline(
     write_parquet / iter_batches / aggregates — never materialized here.
     """
     cfg = cfg or ExtractionConfig()
-    kwargs = dict(batch_format="pyarrow", batch_size=cfg.batch_size)
+    # whole blocks: a row-count batch size would set a minimum bundle
+    # size, which stops Ray fusing the read into the kernel
+    kwargs = dict(batch_format="pyarrow", batch_size=None)
     if cfg.route_mega_docs:
         # Cap THIS dataset chain's block size at the mega threshold:
         # dynamic block splitting then finalizes any block the moment it
@@ -141,15 +180,14 @@ def build_extraction_pipeline(
         # most cap-bytes of small riders. Scoped to ds.context (the plan's
         # context copy) — the process-global DataContext is untouched.
         ds.context.target_max_block_size = cfg.mega_doc_bytes
-        # whole-block batches (block = batch, so the mega doc's block is
-        # its own batch) + a non-default num_cpus so the read does NOT
-        # fuse into the kernel — with fusion the kernel would see raw
-        # reader output before block building ever runs
-        kwargs["batch_size"] = None
+        # a non-default num_cpus so the read does NOT fuse into the
+        # kernel — with fusion the kernel would see raw reader output
+        # before block building ever runs
         kwargs["num_cpus"] = 0.99
     return ds.map_batches(
         fused_extract,
         fn_kwargs={
+            "batch_size": cfg.batch_size,
             "max_content_length": cfg.max_content_length,
             "key_sort": cfg.key_sort,
             "detector": cfg.detector,

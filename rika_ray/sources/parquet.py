@@ -21,8 +21,8 @@ def read_parquet_clean(path, *, columns: list[str] | None = None, **kwargs):
     schema (see module docstring). Falls back to a plain read when the
     schema can't be probed up front (directory inputs, missing columns)."""
     schema = None
-    probe = path[0] if isinstance(path, (list, tuple)) else path
     try:
+        probe = path[0] if isinstance(path, (list, tuple)) else path
         schema = pq.read_schema(probe).remove_metadata()
     except Exception:
         schema = None

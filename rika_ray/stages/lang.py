@@ -24,11 +24,15 @@ import re
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 MIN_CHARS = 24
 _DETECT_PREFIX = 400  # chars of content used for detection (the original
 # Cavnar-Trenkle evaluation used ~300-byte samples; 400 chars keeps accuracy
 # on the fixture corpus while capping per-doc cost)
+# chars of content the batch stage converts to Python per text: room for
+# leading whitespace before the detection window
+_HEAD_CHARS = 2 * _DETECT_PREFIX
 
 # Authored seed paragraphs (distinct from the corpus fixture texts).
 _SEED_TEXT = {
@@ -556,11 +560,26 @@ def detect_language(text: str | None, profiles: "NBClassifier") -> str | None:
 class LangDetectStage:
     """`map_batches` callable (a fused-kernel stage, and the ``lang_id``
     task): adds a `language` column from `content`, one
-    ``detect_languages`` call per batch. Profiles are built once (T1)."""
+    ``detect_languages`` call per batch. Only the head of each text that
+    detection can read becomes a Python string. Profiles are built once
+    (T1)."""
 
     def __init__(self) -> None:
         self.profiles = build_profiles()
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        langs = detect_languages(batch["content"].to_pylist(), self.profiles)
+        content = batch["content"]
+        if pa.types.is_null(content.type):  # all-null, built without a type
+            content = content.cast(pa.string())
+        texts = pc.utf8_slice_codeunits(content, 0, _HEAD_CHARS).to_pylist()
+        for i, head in enumerate(texts):
+            # a head whose stripped text is shorter than the detection
+            # window may end inside whitespace that the full text keeps
+            if (
+                head
+                and len(head) == _HEAD_CHARS
+                and len(head.strip()) < _DETECT_PREFIX
+            ):
+                texts[i] = content[i].as_py()
+        langs = detect_languages(texts, self.profiles)
         return batch.append_column("language", pa.array(langs, pa.string()))

@@ -35,20 +35,16 @@ def extraction_metrics(extracted_ds) -> dict:
     """Consume-and-measure: returns total docs + per-stage breakdown for an
     (already executed) extracted Dataset. Call after a consuming op
     (write/count/take) — the stats reflect the last execution. ``docs`` is
-    the output of the last operator before the sink (a write emits one
-    row per task, not per document)."""
+    what the write wrote when the dataset was written (the kernel usually
+    fuses with the read and the write into one operator, which emits one
+    write result per task), else the last operator's output rows."""
     # a written dataset keeps its stats on the write plan, as
     # ``Dataset.stats()`` does
     write_ds = extracted_ds._write_ds
     if write_ds is not None and write_ds._plan.has_computed_output():
-        extracted_ds = write_ds
-    stages = stage_summary(extracted_ds._get_stats_summary())
-    docs = next(
-        (
-            s["rows"]
-            for s in reversed(stages)
-            if s["rows"] and not s["operator"].endswith("Write")
-        ),
-        None,
-    )
+        stages = stage_summary(write_ds._get_stats_summary())
+        docs = int(sum(r["num_rows"] for r in write_ds.take_all()))
+    else:
+        stages = stage_summary(extracted_ds._get_stats_summary())
+        docs = stages[-1]["rows"] if stages else None
     return {"stages": stages, "docs": docs}

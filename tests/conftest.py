@@ -40,3 +40,22 @@ def corpus_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("corpus")
     write_corpus(str(d), n_per_family=3, seed=42)
     return str(d)
+
+
+# files of the split smoke corpus: at least the 4 CPUs of ``ray_session``,
+# so the read asks for one block per file and fuses with the kernel
+SPLIT_FILES = 4
+
+
+@pytest.fixture(scope="session")
+def split_corpus_dir(corpus_dir, tmp_path_factory):
+    """The smoke corpus's web_pages table split into ``SPLIT_FILES``
+    Parquet files of consecutive rows, in one directory."""
+    import pyarrow.parquet as pq
+
+    pages = pq.read_table(f"{corpus_dir}/web_pages.parquet")
+    d = tmp_path_factory.mktemp("split_corpus")
+    step = -(-pages.num_rows // SPLIT_FILES)
+    for i in range(SPLIT_FILES):
+        pq.write_table(pages.slice(i * step, step), str(d / f"part-{i}.parquet"))
+    return str(d)

@@ -180,3 +180,42 @@ def test_single_script_shortcut_breadth():
         assert _script_shortcuts([text]) == [want], want
     # mixed/Latin text never shortcuts
     assert _script_shortcuts(["plain english text with no other script"]) == [None]
+
+
+def test_batch_stage_reads_head_only_and_matches_full_text():
+    """``LangDetectStage`` converts only each text's head to Python; where
+    the head's stripped text is shorter than the detection window (long
+    leading whitespace, or a head ending inside whitespace) it falls back
+    to the full text, so every result equals detection over full texts."""
+    import pyarrow as pa
+
+    from rika_ray.stages.lang import (
+        _DETECT_PREFIX,
+        _HEAD_CHARS,
+        LangDetectStage,
+        detect_languages,
+    )
+
+    stage = LangDetectStage()
+    rng = random.Random(7)
+    en = _paragraph(rng, WORD_POOL["en"], 40)
+    de = _paragraph(rng, WORD_POOL["de"], 40)
+    assert len(en) > _HEAD_CHARS and len(de) > _HEAD_CHARS
+    pad = _HEAD_CHARS - 10
+    texts = [
+        " " * 1000 + en,  # more than the head is whitespace
+        "\n\t " * 400 + de,
+        " " * 1000 + "hello",  # undetermined: too short once stripped
+        # the head ends inside whitespace that the full text keeps
+        " " * pad + "ok" + " " * 50 + en,
+        " " * (_HEAD_CHARS - _DETECT_PREFIX) + en,  # window ends at the head
+        en,
+        de[:_HEAD_CHARS],  # exactly one head long
+        " " * (_HEAD_CHARS + 5),
+        None,
+        "",
+    ]
+    column = pa.chunked_array([texts[:4], texts[4:]], pa.large_string())
+    got = stage(pa.table({"content": column}))["language"].to_pylist()
+    assert got == detect_languages(texts, stage.profiles)
+    assert got[:3] == ["en", "de", None]

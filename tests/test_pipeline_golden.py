@@ -180,6 +180,45 @@ def test_pipeline_equals_kernel(extracted, corpus_dir):
     )
 
 
+def test_fused_task_per_file_equals_kernel(ray_session, split_corpus_dir, tmp_path):
+    """Over a directory of as many files as CPUs, the read, the kernel and
+    the write run as one fused operator with one task per file, and each
+    task's kernel walks its block in ``batch_size``-row slices: the
+    written rows equal ``FusedExtractStage`` over the whole table."""
+    import os
+
+    import pyarrow.parquet as pq
+
+    from rika_ray.pipelines.extraction import (
+        EXTRACTION_INPUT_COLUMNS,
+        FusedExtractStage,
+    )
+
+    n_files = len(os.listdir(split_corpus_dir))
+    pages = pq.read_table(split_corpus_dir, columns=list(EXTRACTION_INPUT_COLUMNS))
+    cfg = ExtractionConfig(batch_size=16)
+    assert pages.num_rows > n_files * cfg.batch_size  # slices per block
+    out = build_extraction_pipeline(read_web_pages(split_corpus_dir), cfg)
+    out.write_parquet(str(tmp_path / "out"))
+
+    ops = out._write_ds._get_stats_summary().operators_stats
+    assert [op.operator_name for op in ops] == [
+        "ReadParquet->MapBatches(fused_extract)->Write"
+    ]
+    assert ops[0].task_rows["count"] == n_files
+
+    written = pq.read_table(str(tmp_path / "out"))
+    whole = FusedExtractStage()(pages)
+    assert written.schema.names == whole.schema.names
+
+    def _key(r):
+        return (r["url"], repr(r))
+
+    assert sorted(written.to_pylist(), key=_key) == sorted(
+        whole.to_pylist(), key=_key
+    )
+
+
 def test_custom_detector_injection(ray_session, corpus_dir):
     """§2.9 hook: a user detector replaces the magic-byte sniffer
     (Rika.parse detector: analogue) — with an all-opaque detector every
