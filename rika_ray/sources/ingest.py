@@ -21,6 +21,7 @@ from datetime import datetime
 import pyarrow as pa
 import ray.data
 
+from rika_ray.pool import cluster_cpus
 from rika_ray.schema import WEB_PAGES_SCHEMA
 
 # warc_ts of every loose-file or fetched page (they carry no crawl time)
@@ -28,8 +29,13 @@ INGEST_EPOCH = datetime(2026, 1, 1)
 
 
 def read_files_as_web_pages(paths: list[str]) -> ray.data.Dataset:
-    """Local files → web_pages-shaped Dataset (url = file path)."""
-    ds = ray.data.read_binary_files(paths, include_paths=True)
+    """Local files → web_pages-shaped Dataset (url = file path), one read
+    block per file up to one per cluster CPU: Ray's default count splits a
+    few files into one-row blocks plus empty ones."""
+    ds = ray.data.read_binary_files(
+        paths, include_paths=True,
+        override_num_blocks=min(len(paths), cluster_cpus()),
+    )
 
     def _shape(batch: pa.Table) -> pa.Table:
         n = len(batch)

@@ -6,23 +6,36 @@ run resumes").
 Layout::
 
     out_dir/
-      part-00000/...parquet        # one directory per input partition
+      part-00000/data.parquet      # one directory per input shard
       part-00001/...
       _manifest/
         part-00000.json            # atomic commit marker + lineage/metrics
 
-A partition = one input shard (parquet file). Each partition is processed
-as its own Dataset execution using the full cluster, written to a temp dir
-and renamed (atomic on POSIX), then its manifest entry is committed (tmp →
-rename). On restart, partitions with a committed manifest entry are skipped
-— the resume check is a metadata lookup, not a row-level anti-join, so it
-costs O(partitions), never O(rows).
+A partition = one input shard (Parquet file), numbered by its place in the
+sorted shard list. A run is ONE Dataset execution over the pending shards,
+``ReadParquet->MapBatches(_extract_shard)->Write``, one fused task per
+shard: it reads the shard, runs the pipeline's kernel, and
+``_PartitionSink.write`` streams the rows into ``.tmp-part-NNNNN/``, hashes
+them as it writes and commits the partition itself (tmp dir → rename, then
+manifest tmp → rename; atomic on POSIX). A partition is durable the moment
+its task ends, so a failed run keeps every partition that finished. On
+restart, partitions with a committed manifest entry are skipped — a
+metadata lookup costing O(partitions), never O(rows). A zero-row shard
+reaches no task with any rows, so the driver commits it after the job from
+its Parquet footer's row count.
+
+Ray's scheduler hands out the shards one per CPU: with fewer pending
+shards than CPUs the other CPUs idle, so inputs should come as at least as
+many shards as CPUs (as a 10^12-document run does). Ray's write operator
+holds a task's blocks until the sink returns, so a task's memory follows
+its shard's extracted output.
 
 Manifest entry lineage + metrics::
 
     {"partition_id", "input_files", "docs", "input_bytes", "wall_s",
      "docs_per_sec", "content_hash", "engine_version"}
 
+``wall_s`` is the task's read + extract + write + hash time.
 ``content_hash`` is an order-independent 64-bit hash over (url, content)
 pairs — two runs that produce the same rows in any order commit the same
 hash, which is what the determinism / resume tests assert.
@@ -30,22 +43,28 @@ hash, which is what the determinism / resume tests assert.
 
 from __future__ import annotations
 
+import glob
+import itertools
 import json
 import os
 import shutil
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
+from ray.data import Datasink
 
 import rika_ray
 from rika_ray.pipelines.extraction import (
-    ExtractionConfig,
-    build_extraction_pipeline,
-    read_web_pages,
-)
+    ExtractionConfig, fused_extract, read_web_pages)
+from rika_ray.schema import EXTRACTED_SCHEMA
+
+# the partition id each extracted row carries from the kernel to the sink
+_PID = "__partition_id"
 
 
 def _manifest_dir(out_dir: str) -> str:
@@ -54,6 +73,10 @@ def _manifest_dir(out_dir: str) -> str:
 
 def _part_name(i: int) -> str:
     return f"part-{i:05d}"
+
+
+def _tmp_dir(out_dir: str, pid: int) -> str:
+    return os.path.join(out_dir, f".tmp-{_part_name(pid)}")
 
 
 def completed_partitions(out_dir: str) -> dict[int, dict]:
@@ -70,67 +93,37 @@ def completed_partitions(out_dir: str) -> dict[int, dict]:
     return out
 
 
-def _content_hash_batch(batch: pa.Table) -> pa.Table:
-    """Order-independent partial hash: sum of per-row hash(url||content)."""
-    urls = batch["url"].to_pylist()
-    contents = batch["content"].to_pylist()
-    rows = np.asarray(
-        [f"{u}\x00{c if c is not None else '<null>'}" for u, c in zip(urls, contents)],
-        dtype=object,
+def _content_hash(rows: pa.Table) -> int:
+    """Order-independent partial hash: the wrapping uint64 sum of each
+    row's hash of ``url\\x00content`` (a null content as ``<null>``)."""
+    keys = pc.binary_join_element_wise(
+        rows["url"].cast(pa.large_string()),
+        pc.fill_null(rows["content"].cast(pa.large_string()), "<null>"),
+        pa.scalar("\x00", pa.large_string()),
     )
     # categorize=False: the default categorize path truncates strings at
     # NUL bytes — with the url\x00content layout that would hash ONLY the
     # url and miss content changes entirely
-    h = pd.util.hash_array(rows, categorize=False)
-    partial = np.uint64(0)
-    for v in h:
-        partial = partial + v  # wrapping uint64 sum: order-independent
-    return pa.table({"partial_hash": pa.array([int(partial)], pa.uint64()),
-                     "n": pa.array([len(batch)], pa.int64())})
+    h = pd.util.hash_array(keys.to_numpy(zero_copy_only=False), categorize=False)
+    return int(h.sum(dtype=np.uint64))  # an array sum wraps without a warning
 
 
-def _process_partition(
-    pid: int, in_file: str, out_dir: str, cfg: ExtractionConfig
-) -> dict:
-    """Run one shard end-to-end (read → extract → write → hash) and commit
-    its manifest entry atomically. Every path it touches is derived from
-    ``pid``, so concurrent calls for distinct partitions never collide."""
+def _commit(out_dir: str, pid: int, in_file: str, docs: int,
+            content_hash: int, wall: float) -> dict:
+    """Publish ``.tmp-part-NNNNN/`` as ``part-NNNNN/``, then its manifest
+    entry; every path derives from ``pid``, so distinct commits never collide."""
     part = _part_name(pid)
     final_dir = os.path.join(out_dir, part)
-    tmp_dir = os.path.join(out_dir, f".tmp-{part}")
-    shutil.rmtree(tmp_dir, ignore_errors=True)
-    shutil.rmtree(final_dir, ignore_errors=True)
-
-    t0 = time.perf_counter()
-    ds = read_web_pages(in_file)
-    extracted = build_extraction_pipeline(ds, cfg)
-    extracted.write_parquet(tmp_dir)
-    wall = time.perf_counter() - t0
-
-    # lineage metrics from the written partition (cheap re-read of two
-    # columns, not the whole output)
-    import ray.data
-
-    hashed = (
-        ray.data.read_parquet(tmp_dir, columns=["url", "content"])
-        .map_batches(_content_hash_batch, batch_format="pyarrow")
-        .take_all()
-    )
-    content_hash = 0
-    n_docs = 0
-    for r in hashed:
-        content_hash = (content_hash + r["partial_hash"]) % (1 << 64)
-        n_docs += r["n"]
-
-    os.replace(tmp_dir, final_dir)  # atomic publish of the data
+    shutil.rmtree(final_dir, ignore_errors=True)  # a killed run's leftover
+    os.replace(_tmp_dir(out_dir, pid), final_dir)  # atomic publish of the data
     entry = {
         "partition_id": pid,
         "part": part,
         "input_files": [in_file],
-        "docs": n_docs,
+        "docs": docs,
         "input_bytes": os.path.getsize(in_file),
         "wall_s": round(wall, 3),
-        "docs_per_sec": round(n_docs / wall, 1) if wall else None,
+        "docs_per_sec": round(docs / wall, 1) if wall else None,
         "content_hash": content_hash,
         "engine_version": rika_ray.__version__,
     }
@@ -142,32 +135,63 @@ def _process_partition(
     return entry
 
 
+def _extract_shard(block: pa.Table, *, pids: dict[str, int],
+                   **kernel_kwargs) -> Iterator[pa.Table]:
+    """The pipeline's kernel on a block read with ``include_paths=True``:
+    ``fused_extract`` runs on the block without its ``path`` column, and
+    each output row is tagged with its input row's partition id (the
+    kernel returns one row per input row, in order)."""
+    tags = pa.array([pids[p] for p in block["path"].to_pylist()], pa.int32())
+    off = 0
+    for out in fused_extract(block.drop_columns(["path"]), **kernel_kwargs):
+        yield out.append_column(_PID, tags.slice(off, out.num_rows))
+        off += out.num_rows
+
+
+class _PartitionSink(Datasink):
+    """Writes, hashes and commits one partition per write task."""
+
+    def __init__(self, out_dir: str, shards: dict[int, str]):
+        self._out_dir = out_dir
+        self._shards = shards  # pid → input file
+
+    def write(self, blocks: Iterable[pa.Table], ctx) -> dict | None:
+        t0 = time.perf_counter()  # the blocks are read and extracted lazily
+        blocks = (b for b in blocks if b.num_rows)  # Ray emits an empty one
+        first = next(blocks, None)  # for a task whose kernel yields nothing
+        if first is None:
+            return None  # a zero-row shard: the driver commits it
+        pid = first[_PID][0].as_py()
+        tmp_dir = _tmp_dir(self._out_dir, pid)
+        shutil.rmtree(tmp_dir, ignore_errors=True)  # a retried task's rows
+        os.makedirs(tmp_dir)
+        docs = content_hash = 0
+        with pq.ParquetWriter(f"{tmp_dir}/data.parquet", EXTRACTED_SCHEMA) as writer:
+            for block in itertools.chain([first], blocks):
+                if (ids := pc.unique(block[_PID]).to_pylist()) != [pid]:
+                    raise RuntimeError(f"one write task saw partitions {pid} and {ids}")
+                rows = block.drop_columns([_PID])
+                writer.write_table(rows)
+                docs += rows.num_rows
+                content_hash = (content_hash + _content_hash(rows)) % (1 << 64)
+        return _commit(self._out_dir, pid, self._shards[pid], docs,
+                       content_hash, time.perf_counter() - t0)
+
+
 def run_partitioned_extraction(
     input_files: list[str],
     out_dir: str,
     cfg: ExtractionConfig | None = None,
-    fail_after: int | None = None,
-    max_in_flight: int | None = None,
 ) -> dict:
     """Extract every input shard, checkpointing per partition; skips
-    partitions already committed by a previous (possibly killed) run.
-
-    ``fail_after``: test hook — abort the run after N newly-processed
-    partitions (simulates a mid-job crash). Forces serial execution so
-    "after N" is exact.
-
-    ``max_in_flight``: bounded partition pipelining — up to K partitions
-    execute as concurrent Dataset runs (each from its own driver thread,
-    all sharing the cluster's task slots), and each commits its manifest
-    the moment it completes. This fills the cluster through each
-    partition's start-up, ragged tail and content-hash pass, which a
-    serial loop would idle through, while keeping resume granularity and
-    the atomic per-partition commit identical to the serial path.
-    Default: min(4, pending partitions); pass 1 to force the serial loop.
-
-    Returns a summary: partitions done/skipped, docs, docs_per_sec.
-    """
+    partitions already committed by a previous (possibly killed) run. The
+    pending shards run as one Dataset execution whose task per shard commits
+    its own partition (module docstring). Returns a summary: partitions
+    processed/skipped, docs, docs_per_sec."""
     cfg = cfg or ExtractionConfig()
+    if cfg.route_mega_docs:
+        raise ValueError("route_mega_docs would split a shard across tasks; "
+                         "a checkpointed run commits each shard from one task")
     os.makedirs(_manifest_dir(out_dir), exist_ok=True)
     done = completed_partitions(out_dir)
     orphans = [p for p in done if p >= len(input_files)]
@@ -177,11 +201,9 @@ def run_partitioned_extraction(
             f"beyond the current {len(input_files)}-shard input list — the "
             f"shard list shrank since the interrupted run"
         )
-    processed = skipped = 0
-    total_docs = sum(e["docs"] for e in done.values())
     t_run0 = time.perf_counter()
 
-    pending: list[tuple[int, str]] = []
+    pending: dict[int, str] = {}
     for pid, in_file in enumerate(sorted(input_files)):
         if pid in done:
             # Resume identity: a committed manifest entry only covers this
@@ -199,58 +221,39 @@ def run_partitioned_extraction(
                     f"[{in_file!r}] — the input shard list changed since the "
                     f"interrupted run; resume would mis-map partitions"
                 )
-            skipped += 1
             continue
-        pending.append((pid, in_file))
+        pending[pid] = in_file
 
-    if fail_after is not None:
-        k = 1  # exact "commit N then crash" semantics need ordered commits
-    elif max_in_flight is not None:
-        k = max(1, max_in_flight)
-    else:
-        k = min(4, len(pending)) or 1
+    if pending:
+        files = list(pending.values())
+        read_web_pages(
+            files, override_num_blocks=len(files), include_paths=True
+        ).map_batches(
+            _extract_shard,
+            fn_kwargs=dict(
+                pids={f: pid for pid, f in pending.items()},
+                batch_size=cfg.batch_size, max_content_length=cfg.max_content_length,
+                key_sort=cfg.key_sort, detector=cfg.detector,
+            ),
+            batch_format="pyarrow",
+            batch_size=None,  # whole blocks, so the read fuses into the task
+        ).write_datasink(_PartitionSink(out_dir, pending))
+        # only a zero-row shard has no task to commit it
+        for pid in pending.keys() - completed_partitions(out_dir).keys():
+            if pq.read_metadata(pending[pid]).num_rows:
+                raise RuntimeError(f"{_part_name(pid)} was not committed")
+            os.makedirs(_tmp_dir(out_dir, pid), exist_ok=True)
+            _commit(out_dir, pid, pending[pid], 0, 0, 0.0)
 
-    if k == 1:
-        for pid, in_file in pending:
-            entry = _process_partition(pid, in_file, out_dir, cfg)
-            processed += 1
-            total_docs += entry["docs"]
-            if fail_after is not None and processed >= fail_after:
-                raise RuntimeError(
-                    f"injected failure after {processed} partitions (test hook)"
-                )
-    elif pending:
-        first_err: BaseException | None = None
-        with ThreadPoolExecutor(max_workers=k) as ex:
-            futures = {
-                ex.submit(_process_partition, pid, in_file, out_dir, cfg)
-                for pid, in_file in pending
-            }
-            # Drain as they complete: a failed partition doesn't abandon the
-            # ones already in flight — they finish and commit, so the resume
-            # after the raise repeats only genuinely unfinished shards.
-            while futures:
-                done_set, futures = wait(futures, return_when=FIRST_COMPLETED)
-                for fut in done_set:
-                    try:
-                        entry = fut.result()
-                    except BaseException as e:  # noqa: BLE001 — re-raised below
-                        first_err = first_err or e
-                        continue
-                    processed += 1
-                    total_docs += entry["docs"]
-        if first_err is not None:
-            raise first_err
-
+    total_docs = sum(e["docs"] for e in completed_partitions(out_dir).values())
     wall_run = time.perf_counter() - t_run0
     return {
         "partitions": len(input_files),
-        "processed": processed,
-        "skipped": skipped,
+        "processed": len(pending),
+        "skipped": len(input_files) - len(pending),
         "docs": total_docs,
         "wall_s": round(wall_run, 3),
         "docs_per_sec": round(total_docs / wall_run, 1) if wall_run > 0 else None,
-        "max_in_flight": k,
     }
 
 
@@ -264,13 +267,8 @@ def tallies_from_checkpoint(out_dir: str):
 
     from rika_ray.pipelines.extraction import error_tally, media_type_tally
 
-    import glob as _glob
-
-    files: list[str] = []
-    for e in completed_partitions(out_dir).values():
-        files.extend(
-            sorted(_glob.glob(os.path.join(out_dir, e["part"], "*.parquet")))
-        )
+    files = [f for e in completed_partitions(out_dir).values()
+             for f in sorted(glob.glob(os.path.join(out_dir, e["part"], "*.parquet")))]
     if not files:
         raise FileNotFoundError(f"no committed partitions under {out_dir}")
     ds = ray.data.read_parquet(files, columns=["media_type", "error_type"])

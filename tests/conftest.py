@@ -59,3 +59,36 @@ def split_corpus_dir(corpus_dir, tmp_path_factory):
     for i in range(SPLIT_FILES):
         pq.write_table(pages.slice(i * step, step), str(d / f"part-{i}.parquet"))
     return str(d)
+
+
+@pytest.fixture(scope="session")
+def sharded_input(tmp_path_factory):
+    """Three web_pages shards (separate small corpora with disjoint urls)
+    for checkpointed runs, sorted."""
+    import os
+
+    from rika_ray.corpus import write_corpus
+
+    base = tmp_path_factory.mktemp("shards")
+    files = []
+    for i, seed in enumerate((42, 43, 44)):
+        d = base / f"shard{i}"
+        write_corpus(str(d), n_per_family=1, seed=seed)
+        dst = str(base / f"shard-{i}.parquet")
+        os.rename(str(d / "web_pages.parquet"), dst)
+        files.append(dst)
+    return files
+
+
+@pytest.fixture(scope="session")
+def sharded_hash(ray_session, sharded_input, tmp_path_factory):
+    """The combined content hash of one uninterrupted checkpointed run over
+    ``sharded_input`` at the session's 4 CPUs."""
+    from rika_ray.state.checkpoint import (
+        combined_content_hash,
+        run_partitioned_extraction,
+    )
+
+    out = str(tmp_path_factory.mktemp("sharded_run") / "out")
+    run_partitioned_extraction(sharded_input, out)
+    return combined_content_hash(out)

@@ -1,34 +1,31 @@
-"""Resume tests (SURVEY.md §5.2 layer 5): kill after K partitions, restart,
-verify output equals a single-run output and only N−K partitions recompute."""
+"""Resume tests (SURVEY.md §5.2 layer 5): a run that stops after some
+partitions, then a restart; the output must equal a single run's and only
+the missing partitions recompute. A run is one Dataset execution whose
+task per shard commits its own partition."""
 
 from __future__ import annotations
 
-import glob
 import os
+import shutil
+import struct
+import warnings
 
+import numpy as np
+import pandas as pd
+import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 
-from rika_ray.corpus import write_corpus
 from rika_ray.state.checkpoint import (
+    _content_hash,
     combined_content_hash,
     completed_partitions,
     run_partitioned_extraction,
 )
 
 
-@pytest.fixture(scope="module")
-def sharded_input(tmp_path_factory):
-    """Three input shards (separate small corpora with disjoint urls)."""
-    base = tmp_path_factory.mktemp("shards")
-    files = []
-    for i, seed in enumerate((42, 43, 44)):
-        d = base / f"shard{i}"
-        write_corpus(str(d), n_per_family=1, seed=seed)
-        src = str(d / "web_pages.parquet")
-        dst = str(base / f"shard-{i}.parquet")
-        os.rename(src, dst)
-        files.append(dst)
-    return files
+def _sorted_rows(tbl: pa.Table) -> list[dict]:
+    return sorted(tbl.to_pylist(), key=lambda r: (r["url"], repr(r)))
 
 
 def test_full_run_then_resume_noop(ray_session, sharded_input, tmp_path):
@@ -44,41 +41,137 @@ def test_full_run_then_resume_noop(ray_session, sharded_input, tmp_path):
     assert combined_content_hash(out) == h1
 
 
-def test_crash_resume_equals_single_run(ray_session, sharded_input, tmp_path):
-    out_a = str(tmp_path / "single")
-    run_partitioned_extraction(sharded_input, out_a)
-
-    out_b = str(tmp_path / "crashed")
-    with pytest.raises(RuntimeError, match="injected failure"):
-        run_partitioned_extraction(sharded_input, out_b, fail_after=1)
-    assert len(completed_partitions(out_b)) == 1
-
-    summary = run_partitioned_extraction(sharded_input, out_b)
+def test_prefix_run_then_resume_equals_single_run(
+    sharded_input, sharded_hash, tmp_path
+):
+    out = str(tmp_path / "prefix")
+    run_partitioned_extraction(sharded_input[:1], out)
+    summary = run_partitioned_extraction(sharded_input, out)
     assert summary["skipped"] == 1 and summary["processed"] == 2
-    assert combined_content_hash(out_b) == combined_content_hash(out_a)
-    # same parquet row counts per partition
-    for part in ("part-00000", "part-00001", "part-00002"):
-        a = glob.glob(f"{out_a}/{part}/*.parquet")
-        b = glob.glob(f"{out_b}/{part}/*.parquet")
-        assert a and b
+    assert combined_content_hash(out) == sharded_hash
 
 
-def test_pipelined_equals_serial(ray_session, sharded_input, tmp_path):
-    """Bounded K-in-flight partition pipelining (VERDICT r4 #4): same
-    committed outputs and whole-run content identity as the serial loop,
-    and a pipelined run resumes as a noop."""
-    out_s = str(tmp_path / "serial")
-    s1 = run_partitioned_extraction(sharded_input, out_s, max_in_flight=1)
-    assert s1["max_in_flight"] == 1 and s1["processed"] == 3
+def test_crash_resume_equals_single_run(sharded_input, sharded_hash, tmp_path):
+    """A run with one corrupt shard raises; every partition it committed
+    is complete, and once the shard is restored the resume finishes the
+    rest and equals an uninterrupted run."""
+    shards = []
+    for f in sharded_input:
+        shards.append(str(tmp_path / os.path.basename(f)))
+        shutil.copy(f, shards[-1])
+    # garbage over the data pages, the footer intact: the plan builds and
+    # the shard's own task fails on its read, while the others run
+    raw = bytearray(open(shards[1], "rb").read())
+    data_end = len(raw) - 8 - struct.unpack("<i", raw[-8:-4])[0]
+    raw[4:data_end] = (b"garbage!" * len(raw))[: data_end - 4]
+    with open(shards[1], "wb") as fh:
+        fh.write(raw)
 
-    out_p = str(tmp_path / "pipelined")
-    s2 = run_partitioned_extraction(sharded_input, out_p, max_in_flight=3)
-    assert s2["max_in_flight"] == 3 and s2["processed"] == 3
-    assert len(completed_partitions(out_p)) == 3
-    assert combined_content_hash(out_p) == combined_content_hash(out_s)
+    out = str(tmp_path / "crashed")
+    with pytest.raises(Exception):
+        run_partitioned_extraction(shards, out)
+    committed = completed_partitions(out)
+    assert 1 not in committed
+    for entry in committed.values():
+        rows = pq.read_table(os.path.join(out, entry["part"])).num_rows
+        assert entry["docs"] == rows > 0
 
-    s3 = run_partitioned_extraction(sharded_input, out_p)
-    assert s3["skipped"] == 3 and s3["processed"] == 0
+    shutil.copy(sharded_input[1], shards[1])
+    summary = run_partitioned_extraction(shards, out)
+    assert summary["skipped"] == len(committed)
+    assert summary["processed"] == 3 - len(committed)
+    assert combined_content_hash(out) == sharded_hash
+
+
+def test_one_fused_task_per_pending_shard(
+    ray_session, sharded_input, tmp_path, monkeypatch
+):
+    """A run is one Dataset execution, one fused read→kernel→write task per
+    pending shard (no re-read for the hash), and each partition holds the
+    kernel's rows for its shard."""
+    import ray.data
+
+    from rika_ray.pipelines.extraction import (
+        EXTRACTION_INPUT_COLUMNS,
+        FusedExtractStage,
+    )
+
+    written = []
+    write_datasink = ray.data.Dataset.write_datasink
+
+    def _capture(ds, *args, **kwargs):
+        written.append(ds)
+        return write_datasink(ds, *args, **kwargs)
+
+    out = str(tmp_path / "plan")
+    run_partitioned_extraction(sharded_input[:1], out)
+    monkeypatch.setattr(ray.data.Dataset, "write_datasink", _capture)
+    summary = run_partitioned_extraction(sharded_input, out)
+    assert summary["processed"] == 2
+
+    (ds,) = written
+    ops = ds._write_ds._get_stats_summary().operators_stats
+    assert [op.operator_name for op in ops] == [
+        "ReadParquet->MapBatches(_extract_shard)->Write"
+    ]
+    assert ops[0].task_rows["count"] == 2
+
+    kernel = FusedExtractStage()
+    for pid, entry in completed_partitions(out).items():
+        assert entry["input_files"] == [sharded_input[pid]]
+        pages = pq.read_table(
+            sharded_input[pid], columns=list(EXTRACTION_INPUT_COLUMNS)
+        )
+        got = pq.read_table(os.path.join(out, entry["part"]))
+        assert _sorted_rows(got) == _sorted_rows(kernel(pages)), pid
+
+
+def test_zero_row_shard_commits(ray_session, sharded_input, tmp_path):
+    """A shard with no rows has no task that writes anything; the run
+    still commits it, as an empty partition, and a rerun is a no-op."""
+    from rika_ray.state.checkpoint import tallies_from_checkpoint
+
+    empty = str(tmp_path / "shard-empty.parquet")
+    pq.write_table(pq.read_table(sharded_input[0]).slice(0, 0), empty)
+    shards = [*sharded_input, empty]
+    out = str(tmp_path / "out")
+
+    summary = run_partitioned_extraction(shards, out)
+    assert summary["processed"] == 4
+    entries = completed_partitions(out)
+    (zero,) = [e for e in entries.values() if e["input_files"] == [empty]]
+    assert zero["docs"] == 0 and zero["content_hash"] == 0
+    assert os.path.isdir(os.path.join(out, zero["part"]))
+    assert summary["docs"] == sum(e["docs"] for e in entries.values()) > 0
+    assert tallies_from_checkpoint(out)["error_tally"]
+
+    again = run_partitioned_extraction(shards, out)
+    assert again["processed"] == 0 and again["skipped"] == 4
+
+
+def test_content_hash_is_the_wrapping_per_row_sum():
+    """One array reduction, the same definition as a per-row sum of
+    ``hash(url\\x00content)`` mod 2**64, and no overflow warning."""
+    n = 200
+    contents = [None if i % 7 == 0 else f"text {i}\x00tail" * (i % 3)
+                for i in range(n)]
+    table = pa.table({
+        "url": pa.array([f"https://example.com/{i}" for i in range(n)]),
+        "content": pa.array(contents, pa.large_string()),
+    })
+    row_hashes = pd.util.hash_array(
+        np.asarray(
+            [f"{u}\x00{c if c is not None else '<null>'}"
+             for u, c in zip(table["url"].to_pylist(), contents)],
+            dtype=object,
+        ),
+        categorize=False,
+    )
+    want = sum(int(h) for h in row_hashes) % (1 << 64)
+    assert want != sum(int(h) for h in row_hashes)  # the sum does wrap
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _content_hash(table) == want
 
 
 def test_manifest_lineage_fields(ray_session, sharded_input, tmp_path):
@@ -93,13 +186,12 @@ def test_manifest_lineage_fields(ray_session, sharded_input, tmp_path):
 
 
 def test_tallies_over_committed_partitions(ray_session, sharded_input, tmp_path):
-    """Wide ops after a crash run only over durable partition outputs —
+    """Wide ops after a partial run only read durable partition outputs —
     the partition-granular "resume mid-shuffle" semantics."""
     from rika_ray.state.checkpoint import tallies_from_checkpoint
 
     out = str(tmp_path / "tally")
-    with pytest.raises(RuntimeError):
-        run_partitioned_extraction(sharded_input, out, fail_after=2)
+    run_partitioned_extraction(sharded_input[:2], out)
     partial = tallies_from_checkpoint(out)  # 2 committed partitions
     partial_total = sum(r["count()"] for r in partial["error_tally"])
 
@@ -115,11 +207,8 @@ def test_resume_rejects_changed_shard_list(ray_session, sharded_input, tmp_path)
     """A resume whose sorted-shard→partition mapping shifted must fail
     loudly, never silently skip the wrong inputs (manifest lineage is the
     identity, not the sort index)."""
-    import shutil
-
     out = str(tmp_path / "drift")
-    with pytest.raises(RuntimeError, match="injected failure"):
-        run_partitioned_extraction(sharded_input, out, fail_after=1)
+    run_partitioned_extraction(sharded_input[:1], out)
 
     base = os.path.dirname(sharded_input[0])
     # rename shard 0 so it sorts AFTER the others: pid 0 now maps to a

@@ -17,7 +17,9 @@ Runs in a subprocess because the session fixture pins ``num_cpus=4``
 (and, for the 4-CPU case, so that the first job meets fresh workers).
 Each pipeline has its own deadline; its rows
 must equal DuckDB's over the same tables, or those of the 4-CPU session
-where the query has no oracle over the testdata tables.
+where the query has no oracle over the testdata tables. The small cluster
+also runs a checkpointed extraction, whose combined content hash must
+equal the 4-CPU session's.
 """
 
 from __future__ import annotations
@@ -67,19 +69,21 @@ DEADLINE_S = 120
 _SCRIPT = """
 import signal, sys
 import ray
-num_cpus, sf_dir, out_dir, deadline = sys.argv[1:5]
+num_cpus, sf_dir, out_dir, deadline, shards = sys.argv[1:6]
 ray.init(address="local", num_cpus=int(num_cpus), include_dashboard=False,
          logging_level="ERROR")
 from ray.data import DataContext
 DataContext.get_current().enable_progress_bars = False
 import __ray_entry__
+from rika_ray.state.checkpoint import (
+    combined_content_hash, run_partitioned_extraction)
 
 def _late(signum, frame):
     raise TimeoutError(f"{name}: no result within {deadline} s")
 
 signal.signal(signal.SIGALRM, _late)
 queries = __ray_entry__.queries()
-for name in sys.argv[5:]:
+for name in sys.argv[6:]:
     signal.alarm(int(deadline))
     ds = queries[name](sf_dir)
     rows = ds.to_pandas()
@@ -88,6 +92,12 @@ for name in sys.argv[5:]:
     signal.alarm(0)
     rows.to_parquet(f"{out_dir}/{name}.parquet")
     print("done", name, len(rows), flush=True)
+name = "checkpointed extraction"
+print(name, file=sys.stderr, flush=True)
+signal.alarm(int(deadline))
+run_partitioned_extraction(shards.split(","), f"{out_dir}/checkpoint")
+signal.alarm(0)
+print("checkpoint", combined_content_hash(f"{out_dir}/checkpoint"), flush=True)
 ray.shutdown()
 """
 
@@ -103,20 +113,26 @@ def _has_table_oracle(sql: str | None) -> bool:
 
 
 @pytest.mark.parametrize("num_cpus", [1, 2])
-def test_pipelines_finish_on_a_small_cluster(ray_session, tmp_path, num_cpus):
+def test_pipelines_finish_on_a_small_cluster(
+    ray_session, sharded_input, sharded_hash, tmp_path, num_cpus
+):
     import duckdb
 
     import __ray_entry__
 
     proc = subprocess.run(
         [sys.executable, "-c", _SCRIPT, str(num_cpus), SF_DIR, str(tmp_path),
-         str(DEADLINE_S), *PIPELINES],
+         str(DEADLINE_S), ",".join(sharded_input), *PIPELINES],
         capture_output=True,
         text=True,
         timeout=DEADLINE_S * 4 + 30 * len(PIPELINES),
         cwd=ROOT,
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-3000:]
+    # a checkpointed run is one Dataset job, which never waits on another
+    checkpoint_log = proc.stderr.split("checkpointed extraction\n")[-1]
+    assert "does not have any available CPUs" not in checkpoint_log
+    assert f"checkpoint {sharded_hash}\n" in proc.stdout
 
     oracles = __ray_entry__.oracle_sql()
     queries = __ray_entry__.queries()

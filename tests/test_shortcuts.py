@@ -51,6 +51,23 @@ def test_parse_equals_pipeline_row(ray_session, loose_files):
     assert not mismatched, mismatched[:5]
 
 
+def test_few_loose_files_read_as_one_block_each(ray_session, loose_files):
+    """Fewer files than CPUs: one non-empty read block per file (Ray's
+    default count adds empty blocks), and the same rows."""
+    import ray
+
+    from rika_ray.sources.ingest import read_files_as_web_pages
+
+    paths = loose_files[:2]
+    tables = ray.get(read_files_as_web_pages(paths).to_arrow_refs())
+    assert [t.num_rows for t in tables] == [1, 1]
+    rows = pa.concat_tables(tables)
+    assert sorted(rows["url"].to_pylist()) == paths
+    for row in rows.to_pylist():
+        with open(row["url"], "rb") as f:
+            assert row["html"] == f.read()
+
+
 def test_parse_never_starts_ray(loose_files):
     """In a fresh process: Ray stays uninitialised after ``parse``, and the
     terse aliases agree with it."""
