@@ -125,51 +125,60 @@ class ExtractStage:
             **{m: self._do_text for m in _TEXTUAL},
             **{m: self._do_image for m in _IMAGES},
         }
+        decodes_text = {
+            self._do_text, self._do_html, self._do_csv, self._do_ical,
+            self._do_vcard, self._do_json, self._do_ndjson, self._do_markdown,
+        }
+        self._decodes_text = {
+            m for m, k in self._dispatch.items() if k in decodes_text
+        }
 
     # each sub-kernel: bytes → (content, content_type, charset, spans, meta)
-    def _do_text(self, data: bytes, media: str):
-        text, cs = charset_mod.decode_text(data)
+    # A text kernel takes the charset that __call__ detected for its row
+    # with the rest of the batch; an archive or mail member detects its own.
+    def _do_text(self, data: bytes, media: str, charset: str | None = None):
+        text, cs = charset_mod.decode_text(data, charset)
         return text, f"{media}; charset={cs}", cs, [], {"Content-Encoding": cs}
 
-    def _do_html(self, data: bytes, media: str):
-        text, cs = charset_mod.decode_text(data)
+    def _do_html(self, data: bytes, media: str, charset: str | None = None):
+        text, cs = charset_mod.decode_text(data, charset)
         content, spans, meta = extract_html(text)
         meta["Content-Encoding"] = cs
         return content, f"{media}; charset={cs}", cs, spans, meta
 
-    def _do_csv(self, data: bytes, media: str):
-        text, cs = charset_mod.decode_text(data)
+    def _do_csv(self, data: bytes, media: str, charset: str | None = None):
+        text, cs = charset_mod.decode_text(data, charset)
         delim = "\t" if media == sniff_mod.TSV else ","
         content, spans, meta = extract_csv(text, delim)
         meta["Content-Encoding"] = cs
         return content, f"{media}; charset={cs}", cs, spans, meta
 
-    def _do_ical(self, data: bytes, media: str):
-        text, cs = charset_mod.decode_text(data)
+    def _do_ical(self, data: bytes, media: str, charset: str | None = None):
+        text, cs = charset_mod.decode_text(data, charset)
         content, spans, meta = extract_ical(text)
         meta["Content-Encoding"] = cs
         return content, f"{media}; charset={cs}", cs, spans, meta
 
-    def _do_vcard(self, data: bytes, media: str):
-        text, cs = charset_mod.decode_text(data)
+    def _do_vcard(self, data: bytes, media: str, charset: str | None = None):
+        text, cs = charset_mod.decode_text(data, charset)
         content, spans, meta = extract_vcard(text)
         meta["Content-Encoding"] = cs
         return content, f"{media}; charset={cs}", cs, spans, meta
 
-    def _do_json(self, data: bytes, media: str):
-        text, cs = charset_mod.decode_text(data)
+    def _do_json(self, data: bytes, media: str, charset: str | None = None):
+        text, cs = charset_mod.decode_text(data, charset)
         content, spans, meta = extract_json(text)
         meta["Content-Encoding"] = cs
         return content, f"{media}; charset={cs}", cs, spans, meta
 
-    def _do_ndjson(self, data: bytes, media: str):
-        text, cs = charset_mod.decode_text(data)
+    def _do_ndjson(self, data: bytes, media: str, charset: str | None = None):
+        text, cs = charset_mod.decode_text(data, charset)
         content, spans, meta = extract_ndjson(text)
         meta["Content-Encoding"] = cs
         return content, f"{media}; charset={cs}", cs, spans, meta
 
-    def _do_markdown(self, data: bytes, media: str):
-        text, cs = charset_mod.decode_text(data)
+    def _do_markdown(self, data: bytes, media: str, charset: str | None = None):
+        text, cs = charset_mod.decode_text(data, charset)
         content, spans, meta = extract_markdown(text)
         meta["Content-Encoding"] = cs
         return content, f"{media}; charset={cs}", cs, spans, meta
@@ -539,15 +548,25 @@ class ExtractStage:
         meta_out: list[list | None] = [None] * n
         err_t = err_t_col.to_pylist()
         err_m = err_m_col.to_pylist()
+        media_refined = media_col.to_pylist()
+        # one charset detection over every row whose kernel decodes text
+        text_rows = [
+            i for i in range(n)
+            if err_t[i] is None and media_refined[i] in self._decodes_text
+        ]
+        detected = dict(zip(text_rows, charset_mod.detect_charsets(
+            html_col[i].as_py() for i in text_rows
+        )))
 
         for i in range(n):
             if err_t[i] is not None:
                 continue  # pre-flagged (e.g. empty_file): skip, keep error
-            media = media_col[i].as_py()
+            media = media_refined[i]
             data = html_col[i].as_py()
             kernel = self._dispatch.get(media, self._do_opaque)
+            args = (data, media, detected[i]) if i in detected else (data, media)
             try:
-                content, ctype, cs, spans, meta = kernel(data, media)
+                content, ctype, cs, spans, meta = kernel(*args)
             except Exception as e:  # poison row must never abort the job
                 if isinstance(e, (MemoryError, KeyboardInterrupt)):
                     raise
@@ -568,7 +587,6 @@ class ExtractStage:
 
         # refine media_type from the extraction result (container
         # inspection can narrow the sniffed type, e.g. OLE2 → msword)
-        media_refined = media_col.to_pylist()
         for i in range(n):
             if err_t[i] is None and ctypes[i]:
                 media_refined[i] = ctypes[i].split(";", 1)[0]

@@ -34,12 +34,10 @@ def finalize_batch(
     max_content_length: int = -1,
     key_sort: bool = True,
 ) -> pa.Table:
-    n = len(batch)
     urls = batch["url"].to_pylist()
     languages = batch["language"].to_pylist()
     ctypes = batch["content_type"].to_pylist()
     err_t = batch["error_type"].to_pylist()
-    meta_col = batch["metadata"].to_pylist()
 
     # --- truncation (vectorized, char-counted) ---
     content = batch["content"]
@@ -52,20 +50,10 @@ def finalize_batch(
         # ('Stopping' = 8 chars, spec/rika/parser_spec.rb:164-166)
         content = pc.utf8_slice_codeunits(content, 0, max_content_length)
 
-    # --- metadata enrichment + key sort ---
-    meta_out: list[list | None] = [None] * n
-    for i in range(n):
-        if err_t[i] is not None:
-            continue
-        pairs = {p["key"]: p["value"] for p in (meta_col[i] or [])}
-        if ctypes[i] is not None:
-            pairs["Content-Type"] = ctypes[i]
-        pairs["rika:language"] = languages[i] or ""
-        pairs["rika:data-source"] = urls[i]
-        keys = (
-            sorted(pairs, key=lambda s: (s.lower(), s)) if key_sort else pairs
-        )
-        meta_out[i] = [{"key": k, "value": pairs[k]} for k in keys]
+    metadata = _enriched_metadata(
+        batch["metadata"].combine_chunks(), ctypes, languages, urls, err_t,
+        key_sort,
+    )
 
     # --- provenance ---
     is_http = pc.match_substring_regex(batch["url"], r"^https?://")
@@ -81,7 +69,7 @@ def finalize_batch(
         "language": batch["language"],
         "input_type": input_type,
         "data_source": batch["url"],
-        "metadata": pa.array(meta_out, METADATA_TYPE),
+        "metadata": metadata,
         "spans": batch["spans"],
         "error_type": batch["error_type"],
         "error_message": batch["error_message"],
@@ -93,3 +81,48 @@ def finalize_batch(
     out = pa.table(dict(zip(cols.keys(), arrays)))
     return out.cast(EXTRACTED_SCHEMA)
 
+
+def _enriched_metadata(
+    meta: pa.LargeListArray,
+    ctypes: list,
+    languages: list,
+    urls: list,
+    err_t: list,
+    key_sort: bool,
+) -> pa.LargeListArray:
+    """The metadata column with ``Content-Type``, ``rika:language`` and
+    ``rika:data-source`` injected (an injected key replaces the
+    extractor's value and keeps its place), key-sorted case-insensitively
+    when ``key_sort``; null on error rows. Reads the flattened key/value
+    children and the offsets, never a per-row dict."""
+    offsets = meta.offsets.to_pylist()  # into the unsliced children
+    base = offsets[0]
+    entries = meta.values.slice(base, offsets[-1] - base)
+    keys = entries.field("key").to_pylist()
+    values = entries.field("value").to_pylist()
+    valid = meta.is_valid().to_pylist() if meta.null_count else None
+    out_keys: list[str] = []
+    out_values: list[str | None] = []
+    out_offsets = [0]
+    for i, err in enumerate(err_t):
+        if err is None:
+            lo, hi = offsets[i] - base, offsets[i + 1] - base
+            if valid is not None and not valid[i]:
+                lo = hi  # a null list: no extractor keys
+            pairs = dict(zip(keys[lo:hi], values[lo:hi]))
+            if ctypes[i] is not None:
+                pairs["Content-Type"] = ctypes[i]
+            pairs["rika:language"] = languages[i] or ""
+            pairs["rika:data-source"] = urls[i]
+            order = sorted(pairs, key=lambda s: (s.lower(), s)) if key_sort else pairs
+            out_keys.extend(order)
+            out_values.extend(map(pairs.__getitem__, order))
+        out_offsets.append(len(out_keys))
+    entries = pa.StructArray.from_arrays(
+        [pa.array(out_keys, pa.string()), pa.array(out_values, pa.string())],
+        fields=list(METADATA_TYPE.value_type),
+    )
+    return pa.LargeListArray.from_arrays(
+        pa.array(out_offsets, pa.int64()), entries, type=METADATA_TYPE,
+        mask=pa.array([err is not None for err in err_t]),
+    )

@@ -88,6 +88,8 @@ _HTML_MARKERS = (
 
 _SNIFF_PREFIX = 2048
 _SNIFF_SUFFIX = 4096  # ZIP central directory lives at the end
+# control bytes that mark binary content (tab, LF and CR are text)
+_CTRL = bytes(c for c in range(0x20) if c not in (9, 10, 13))
 
 # Resource-name hints refine ONLY within the text supertype (a name never
 # overrides magic): the scale analogue of Tika's DefaultDetector combining
@@ -441,7 +443,7 @@ def sniff_bytes(prefix: bytes, suffix: bytes | None = None) -> str:
     # characters → binary.
     if b"\x00" in prefix:
         return OCTET
-    n_ctrl = sum(1 for c in prefix if c < 0x20 and c not in (9, 10, 13))
+    n_ctrl = len(prefix) - len(prefix.translate(None, _CTRL))
     if prefix and n_ctrl / len(prefix) > 0.10:
         return OCTET
     return _textual_subtype(scan) or PLAIN

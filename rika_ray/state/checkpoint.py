@@ -21,8 +21,8 @@ manifest tmp → rename; atomic on POSIX). A partition is durable the moment
 its task ends, so a failed run keeps every partition that finished. On
 restart, partitions with a committed manifest entry are skipped — a
 metadata lookup costing O(partitions), never O(rows). A zero-row shard
-reaches no task with any rows, so the driver commits it after the job from
-its Parquet footer's row count.
+is never read: the driver commits it before the job, from its Parquet
+footer's row count, and the job's read counts only shards with rows.
 
 Ray's scheduler hands out the shards one per CPU: with fewer pending
 shards than CPUs the other CPUs idle, so inputs should come as at least as
@@ -157,10 +157,10 @@ class _PartitionSink(Datasink):
 
     def write(self, blocks: Iterable[pa.Table], ctx) -> dict | None:
         t0 = time.perf_counter()  # the blocks are read and extracted lazily
-        blocks = (b for b in blocks if b.num_rows)  # Ray emits an empty one
-        first = next(blocks, None)  # for a task whose kernel yields nothing
+        blocks = (b for b in blocks if b.num_rows)
+        first = next(blocks, None)
         if first is None:
-            return None  # a zero-row shard: the driver commits it
+            return None  # nothing of a shard reached this task
         pid = first[_PID][0].as_py()
         tmp_dir = _tmp_dir(self._out_dir, pid)
         shutil.rmtree(tmp_dir, ignore_errors=True)  # a retried task's rows
@@ -224,26 +224,33 @@ def run_partitioned_extraction(
             continue
         pending[pid] = in_file
 
-    if pending:
-        files = list(pending.values())
+    # a zero-row shard commits from its footer: a read of it would hand its
+    # task one empty block without columns
+    to_read: dict[int, str] = {}
+    for pid, in_file in pending.items():
+        if pq.read_metadata(in_file).num_rows:
+            to_read[pid] = in_file
+        else:
+            os.makedirs(_tmp_dir(out_dir, pid), exist_ok=True)
+            _commit(out_dir, pid, in_file, 0, 0, 0.0)
+
+    if to_read:
+        files = list(to_read.values())
         read_web_pages(
             files, override_num_blocks=len(files), include_paths=True
         ).map_batches(
             _extract_shard,
             fn_kwargs=dict(
-                pids={f: pid for pid, f in pending.items()},
+                pids={f: pid for pid, f in to_read.items()},
                 batch_size=cfg.batch_size, max_content_length=cfg.max_content_length,
                 key_sort=cfg.key_sort, detector=cfg.detector,
             ),
             batch_format="pyarrow",
             batch_size=None,  # whole blocks, so the read fuses into the task
-        ).write_datasink(_PartitionSink(out_dir, pending))
-        # only a zero-row shard has no task to commit it
-        for pid in pending.keys() - completed_partitions(out_dir).keys():
-            if pq.read_metadata(pending[pid]).num_rows:
-                raise RuntimeError(f"{_part_name(pid)} was not committed")
-            os.makedirs(_tmp_dir(out_dir, pid), exist_ok=True)
-            _commit(out_dir, pid, pending[pid], 0, 0, 0.0)
+        ).write_datasink(_PartitionSink(out_dir, to_read))
+        missing = sorted(to_read.keys() - completed_partitions(out_dir).keys())
+        if missing:
+            raise RuntimeError(f"{[_part_name(p) for p in missing]} not committed")
 
     total_docs = sum(e["docs"] for e in completed_partitions(out_dir).values())
     wall_run = time.perf_counter() - t_run0

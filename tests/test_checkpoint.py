@@ -126,23 +126,55 @@ def test_one_fused_task_per_pending_shard(
         assert _sorted_rows(got) == _sorted_rows(kernel(pages)), pid
 
 
-def test_zero_row_shard_commits(ray_session, sharded_input, tmp_path):
-    """A shard with no rows has no task that writes anything; the run
-    still commits it, as an empty partition, and a rerun is a no-op."""
+def test_zero_row_shard_commits(
+    ray_session, sharded_input, sharded_hash, tmp_path, monkeypatch
+):
+    """A shard with no rows is committed from its footer, as an empty
+    partition, and never read, so Ray sees no block without columns; the
+    other shards give the same hash as without it, and a rerun is a no-op."""
+    import logging
+
+    from rika_ray.state import checkpoint
     from rika_ray.state.checkpoint import tallies_from_checkpoint
+
+    reads = []
+
+    def read_web_pages(files, **kwargs):
+        reads.append((list(files), kwargs["override_num_blocks"]))
+        return real_read(files, **kwargs)
+
+    real_read = checkpoint.read_web_pages
+    monkeypatch.setattr(checkpoint, "read_web_pages", read_web_pages)
 
     empty = str(tmp_path / "shard-empty.parquet")
     pq.write_table(pq.read_table(sharded_input[0]).slice(0, 0), empty)
     shards = [*sharded_input, empty]
     out = str(tmp_path / "out")
 
-    summary = run_partitioned_extraction(shards, out)
+    class Records(logging.Handler):
+        def __init__(self):
+            super().__init__()
+            self.messages = []
+
+        def emit(self, record):
+            self.messages.append(record.getMessage())
+
+    records = Records()
+    ray_log = logging.getLogger("ray.data")
+    ray_log.addHandler(records)
+    try:
+        summary = run_partitioned_extraction(shards, out)
+    finally:
+        ray_log.removeHandler(records)
+    assert not [m for m in records.messages if "different schema" in m]
+    assert reads == [(sorted(sharded_input), len(sharded_input))]
     assert summary["processed"] == 4
     entries = completed_partitions(out)
     (zero,) = [e for e in entries.values() if e["input_files"] == [empty]]
     assert zero["docs"] == 0 and zero["content_hash"] == 0
     assert os.path.isdir(os.path.join(out, zero["part"]))
     assert summary["docs"] == sum(e["docs"] for e in entries.values()) > 0
+    assert combined_content_hash(out) == sharded_hash
     assert tallies_from_checkpoint(out)["error_tally"]
 
     again = run_partitioned_extraction(shards, out)

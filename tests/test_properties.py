@@ -14,6 +14,7 @@ from rika_ray import docgen
 from rika_ray.docgen import normalize_block_text
 from rika_ray.functions.text import content_type_split, tokenize
 from rika_ray.stages.charset import decode_text, detect_charset
+from rika_ray.stages.extract import ExtractStage
 from rika_ray.stages.html_extract import extract_html
 from rika_ray.stages.lang import build_profiles, detect_language
 from rika_ray.stages.sniff import sniff_bytes
@@ -149,6 +150,61 @@ def test_metadata_key_sort_invariant():
     unsorted_out = finalize_batch(batch, key_sort=False).to_pylist()[0]
     keys_u = [p["key"] for p in unsorted_out["metadata"]]
     assert keys_u[0] == "Zeta"  # original order preserved
+
+
+def test_injected_metadata_keys_keep_the_extractor_position():
+    """An extractor key equal to an injected one (``Content-Type``,
+    ``rika:language``) keeps its first position unsorted and takes the
+    injected value; a repeated extractor key keeps its first position and
+    its last value; error rows keep null metadata, and a sliced batch gives
+    the same rows."""
+    import pyarrow as pa
+
+    from rika_ray.schema import METADATA_TYPE, SPANS_TYPE
+    from rika_ray.stages.finalize import finalize_batch
+
+    def pairs(*kv):
+        return [{"key": k, "value": v} for k, v in kv]
+
+    batch = pa.table({
+        "url": ["https://a.test/1", "https://a.test/2", "/b/3", "/b/4"],
+        "warc_ts": pa.array([0] * 4, pa.timestamp("us")),
+        "media_type": ["text/plain"] * 4,
+        "error_type": pa.array([None, "parse_error", None, None], pa.string()),
+        "error_message": pa.array([None, "E: x", None, None], pa.string()),
+        "content": pa.array(["x", None, "y", "z"], pa.large_string()),
+        "content_type": ["text/plain; charset=UTF-8", None, None, "text/csv"],
+        "charset": ["UTF-8", None, None, None],
+        "language": ["en", None, None, "de"],
+        "spans": pa.array([[], None, [], []], SPANS_TYPE),
+        "metadata": pa.array([
+            pairs(("Zeta", "1"), ("Content-Type", "old"),
+                  ("rika:language", "xx"), ("alpha", "2"), ("Zeta", "3")),
+            None,
+            [],
+            pairs(("b", "4")),
+        ], METADATA_TYPE),
+    })
+    unsorted = [r["metadata"] for r in finalize_batch(batch, key_sort=False).to_pylist()]
+    assert unsorted == [
+        pairs(("Zeta", "3"), ("Content-Type", "text/plain; charset=UTF-8"),
+              ("rika:language", "en"), ("alpha", "2"),
+              ("rika:data-source", "https://a.test/1")),
+        None,
+        pairs(("rika:language", ""), ("rika:data-source", "/b/3")),
+        pairs(("b", "4"), ("Content-Type", "text/csv"), ("rika:language", "de"),
+              ("rika:data-source", "/b/4")),
+    ]
+    ordered = [r["metadata"] for r in finalize_batch(batch).to_pylist()]
+    assert [[p["key"] for p in m] for m in ordered if m] == [
+        ["alpha", "Content-Type", "rika:data-source", "rika:language", "Zeta"],
+        ["rika:data-source", "rika:language"],
+        ["b", "Content-Type", "rika:data-source", "rika:language"],
+    ]
+    assert ordered[1] is None
+    for key_sort in (True, False):
+        whole = finalize_batch(batch, key_sort=key_sort).to_pylist()
+        assert finalize_batch(batch.slice(1), key_sort=key_sort).to_pylist() == whole[1:]
 
 
 @given(
@@ -506,3 +562,90 @@ def test_mail_kernels_fail_typed_on_corrupted_valid_prefix(data, keep):
     for kernel, media in _mail_kernels():
         blob = msg if media.endswith("rfc822") else docgen.build_mbox([msg, msg])
         _assert_mail_total(kernel, media, blob[: int(len(blob) * keep)] + data)
+
+
+_TEXT_STAGE = ExtractStage()
+# One media type per text kernel (``_do_text`` … ``_do_markdown``) and a
+# valid document for each, in a legacy or multi-byte charset where the
+# format allows one.
+_TEXT_DOCS = {
+    "text/plain": "Поезд прибыл на станцию с опозданием.\n".encode("koi8-r") * 3,
+    "text/html": docgen.build_html_page(
+        "Titre", ["Le train est arrivé en retard à la gare."], ["Accueil", "Nouvelles"]
+    ),
+    "text/csv": "name,city\nJürgen,Köln\nAnna,Wien\n".encode("latin-1"),
+    "text/calendar": (
+        "BEGIN:VCALENDAR\r\nVERSION:2.0\r\nBEGIN:VEVENT\r\nSUMMARY:Réunion\r\n"
+        "END:VEVENT\r\nEND:VCALENDAR\r\n"
+    ).encode("cp1252"),
+    "text/vcard": "BEGIN:VCARD\r\nVERSION:4.0\r\nFN:山田太郎\r\nEND:VCARD\r\n".encode("shift_jis"),
+    "application/json": '{"a": [1, 2, {"b": "éè"}], "c": null}'.encode("utf-8"),
+    "application/x-ndjson": '{"a": 1}\n{"b": "ж"}\nnot json\n'.encode("cp1251"),
+    "text/markdown": "# 标题\n\n* **粗体** [链接](x)\n```\ncode\n```\n".encode("gb18030"),
+}
+
+
+def _text_kernel_rows(payloads: dict[str, bytes]):
+    """Each payload through ``ExtractStage`` on its own, as a one-row batch
+    under its media type: (media, elapsed seconds, output row, size)."""
+    import time
+
+    import pyarrow as pa
+
+    for media, data in payloads.items():
+        batch = pa.table({
+            "url": ["https://fuzz.test/doc"],
+            "warc_ts": pa.array([0], pa.timestamp("us")),
+            "html": pa.array([data], pa.large_binary()),
+            "media_type": [media],
+            "error_type": pa.array([None], pa.string()),
+            "error_message": pa.array([None], pa.string()),
+        })
+        t0 = time.perf_counter()
+        out = _TEXT_STAGE(batch)
+        yield media, time.perf_counter() - t0, out.to_pylist()[0], len(data)
+
+
+def _assert_text_kernels_total(payloads: dict[str, bytes]) -> None:
+    for media, elapsed, row, size in _text_kernel_rows(payloads):
+        if row["error_type"] is None:
+            assert isinstance(row["content"], str) and isinstance(row["charset"], str)
+            assert row["content_type"] == f"{media}; charset={row['charset']}"
+        else:
+            assert row["error_type"] == "parse_error" and row["content"] is None
+        # at most 50 ms per KB, a payload counting as at least 1 KB
+        assert elapsed * 1000 <= 50 * max(1.0, size / 1024), (media, elapsed, size)
+
+
+def test_text_kernel_matrix_covers_every_text_kernel():
+    dispatch = _TEXT_STAGE._dispatch
+    kernels = {dispatch[m].__name__ for m in _TEXT_DOCS}
+    assert kernels == {dispatch[m].__name__ for m in _TEXT_STAGE._decodes_text}
+    assert len(kernels) == 8
+
+
+@SETTINGS
+@given(st.binary(max_size=4096))
+def test_text_kernels_total_on_arbitrary_bytes(data):
+    """Each text kernel returns a row, or a typed ``parse_error`` row, on
+    any bytes, within the per-KB time bound."""
+    _assert_text_kernels_total({media: data for media in _TEXT_DOCS})
+
+
+@SETTINGS
+@given(
+    st.floats(0.0, 1.0),
+    st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(1, 255)), max_size=8),
+    st.binary(max_size=64),
+)
+def test_text_kernels_total_on_mutated_valid_prefixes(keep, flips, tail):
+    """The same on each valid document cut to a prefix, with bits flipped
+    and fuzz appended."""
+    mutated = {}
+    for media, doc in _TEXT_DOCS.items():
+        data = bytearray(doc[: int(len(doc) * keep)])
+        for at, mask in flips:
+            if data:
+                data[min(int(at * len(data)), len(data) - 1)] ^= mask
+        mutated[media] = bytes(data) + tail
+    _assert_text_kernels_total(mutated)

@@ -127,3 +127,22 @@ def test_prose_with_single_commas_is_not_csv():
     # single-TAB lines remain TSV (tabs don't occur in prose)
     tsv = b"id\tname\n1\tann\n2\tbob\n"
     assert sniff._textual_subtype(tsv) == sniff.TSV
+
+
+def test_control_byte_share_decides_binary_at_ten_percent():
+    """More than 10% control bytes in the prefix make a payload binary;
+    exactly 10% does not, and tab, LF and CR never count."""
+    text = (b"plain words " * 200)[:2000]  # shorter than the prefix
+    for extra, expected in ((0, sniff.PLAIN), (1, sniff.OCTET)):
+        body = bytearray(text)
+        body[::10] = b"\x01" * 200  # exactly 10%
+        body[5:5 + extra] = b"\x1f" * extra
+        assert _sniff(bytes(body)) == expected, extra
+    body = bytearray(text)
+    body[::2] = b"\t\n\r" * 333 + b"\t"  # half of it tab/LF/CR
+    assert _sniff(bytes(body)) != sniff.OCTET  # text (tab-separated)
+    # every other C0 byte counts: 12 of 100 bytes make it binary
+    for c in set(range(1, 0x20)) - {9, 10, 13}:
+        body = bytearray(text[:100])
+        body[::9] = bytes([c]) * 12
+        assert _sniff(bytes(body)) == sniff.OCTET, c
