@@ -335,10 +335,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
 _TOKENIZE_SQL = "list_filter(regexp_split_to_array(lower(text), '\\s+'), x -> x <> '')"
 
 # 3-word shingle set per doc, mirroring the engine's short-doc fallback
-# (rika_ray/pipelines/dedup.py: fewer than K tokens → the single shingle
-# " ".join(toks), empty text → ""): without the CASE, tok[i+2] indexes out
-# of range, the NULL shingle is stripped by list_distinct, and a short doc
-# silently gets NO signature row while the engine assigns one.
+# (rika_ray/pipelines/dedup.py shingles_arrow: fewer than K tokens → the
+# single shingle of all its tokens joined by a space, empty text → ""):
+# without the CASE, tok[i+2] indexes out of range, the NULL shingle is
+# stripped by list_distinct, and a short doc silently gets NO signature
+# row while the engine assigns one.
 _SHINGLES_SQL = (
     "sh AS (SELECT doc_id, CASE WHEN len(tok) < 3 "
     "THEN [array_to_string(tok, ' ')] "

@@ -2,7 +2,8 @@
 training-data operators.
 
 ``tokenize`` is the normative tokenizer for word-level operators (A3 top-k
-words, token counting, shingling): lowercase, split on runs of whitespace,
+words, token counting, shingling — the batch paths run its vectorized twin
+``tokenize_arrow``): lowercase, split on runs of whitespace,
 drop empties — chosen to be expressible 1:1 in DuckDB SQL
 (``regexp_split_to_array(lower(text), '\\s+')`` + empty filter) so the
 driver's oracle comparison is exact.
@@ -13,6 +14,13 @@ that pyarrow's ``split_pattern_regex`` AND DuckDB's
 here so the pure-Python path cannot drift to Python's wider Unicode
 ``\\s`` (U+00A0 etc.) and produce n_words counts that disagree with the
 vectorized/oracle paths on the same document.
+
+Lowercasing is normatively per code point, each code point mapped alone
+to the first code point of its lowercase — what pyarrow's ``utf8_lower``
+and DuckDB's ``lower`` do. Python's ``str.lower`` departs from that in
+exactly two places, which ``tokenize`` maps first: the final-sigma rule
+(``'ΣΑΣ'`` → ``'σας'``, not ``'σασ'``) and ``'İ'``, the one code point
+whose lowercase is two code points.
 """
 
 from __future__ import annotations
@@ -21,11 +29,14 @@ import hashlib
 import re
 
 _WS_RE = re.compile(r"[\t\n\f\r ]+")
+_LOWER_ALONE = str.maketrans({"Σ": "σ", "İ": "i"})
 
 
 def tokenize(text: str | None) -> list[str]:
     if not text:
         return []
+    if "Σ" in text or "İ" in text:
+        text = text.translate(_LOWER_ALONE)
     return [t for t in _WS_RE.split(text.lower()) if t]
 
 
@@ -36,8 +47,10 @@ def tokenize_arrow(col):
 
     RE2's ``\\s`` is ``[\\t\\n\\f\\r ]`` — exactly what the DuckDB
     oracle's ``regexp_split_to_array`` uses AND what ``tokenize()``'s
-    explicit class matches, so the three paths (Python, Arrow, SQL)
-    tokenize identically by construction.
+    explicit class matches, and all three lower each code point alone
+    (module docstring), so the three paths (Python, Arrow, SQL) tokenize
+    identically — pinned by ``test_tokenize_python_matches_arrow`` and
+    ``test_tokenize_lowers_like_duckdb``.
 
     Returns ``(token_lists, n_tokens)`` where ``n_tokens`` is int64 with
     null/empty/whitespace-only rows counted as 0 (token lists for those

@@ -7,16 +7,21 @@ bounded-partition operators of ``pipelines.aggregate`` (plain tasks, one
 sort on the partition id), and every per-batch stage is a plain task:
 - exact dedup: content-hash column added vectorized, then ONE
   ``partitioned_aggregate`` min per hash — no pairwise work.
-- MinHash-LSH: the corpus is scanned ONCE into packed 512-byte signatures;
-  slim band rows ``(doc_id, band, band_hash)`` derive from them without
+- Shingling: one batch shingler (``shingles_arrow``, Arrow kernels, no
+  per-document Python) feeds every shingle consumer — MinHash signatures,
+  Jaccard blobs and both SimHash variants.
+- MinHash-LSH: the corpus is scanned ONCE into packed 512-byte signatures
+  and per-document shingle blobs from the same shingles; slim band rows
+  ``(doc_id, band, band_hash)`` derive from the signatures without
   re-reading text. Pairing is a SELF-JOIN of band rows on the bucket key,
   signature attach is ONE join, est is one aggregate — three all-to-all
   exchanges total, every one distributed. Nothing corpus-proportional ever
   reaches the driver (at web dup rates the pair set itself is
   corpus-proportional, so even "result-sized" driver state is forbidden).
-- n-gram Jaccard verification: same join-based attach — shingle blobs for
-  all docs ride ONE join onto the pair side rows, one aggregate brings a
-  pair's two blobs together. No text broadcast, no candidate id broadcast.
+- n-gram Jaccard verification: the blobs come from that same one scan
+  (``documents`` is read once) and ride ONE join onto the pair side rows;
+  one aggregate brings a pair's two blobs together. No text broadcast, no
+  candidate id broadcast.
 - SimHash: bit votes computed with numpy unpack, no per-bit Python loops.
 - embedding near-dup: random-hyperplane LSH buckets, pairwise cosine only
   within a bucket; an exact all-pairs variant exists as the oracle
@@ -33,21 +38,21 @@ is systematically won by the smallest shingle hashes (measured agreement
 
 from __future__ import annotations
 
-import os
+import hashlib
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data
 
-from rika_ray.functions.text import mix64, tokenize
+from rika_ray.functions.text import mix64, tokenize_arrow
 from rika_ray.functions.vectors import embedding_matrix, unit_rows
 from rika_ray.pipelines.aggregate import (
     partitioned_aggregate,
     partitioned_join,
     partitioned_map,
 )
-from rika_ray.pool import pool_size
 
 
 def _docs(sf_dir: str, columns):
@@ -88,13 +93,13 @@ def _pair_sides(a: np.ndarray, b: np.ndarray) -> pa.Table:
     )
 
 
-def _empty_pairs(value_col: str) -> ray.data.Dataset:
+def _empty_pairs(value_col: str, value_type=pa.float64()) -> ray.data.Dataset:
     return ray.data.from_arrow(
         pa.table(
             {
                 "doc_a": pa.array([], pa.int64()),
                 "doc_b": pa.array([], pa.int64()),
-                value_col: pa.array([], pa.float64()),
+                value_col: pa.array([], value_type),
             }
         )
     )
@@ -160,23 +165,79 @@ ROWS_PER_BAND = N_PERM // N_BANDS
 SHINGLE_K = 3  # word shingles
 
 
-def _shingle_hashes_u32(text: str) -> np.ndarray:
-    """Unique 32-bit shingle hashes, vectorized via pd.util.hash_array."""
-    toks = tokenize(text)
-    if len(toks) < SHINGLE_K:
-        shingles = [" ".join(toks)] if toks else [""]
-    else:
-        shingles = [
-            " ".join(toks[i : i + SHINGLE_K])
-            for i in range(len(toks) - SHINGLE_K + 1)
-        ]
-    h = pd.util.hash_array(np.asarray(shingles, dtype=object))
-    return np.unique(h & np.uint64(0xFFFFFFFF))
+def shingles_arrow(text) -> tuple[pa.Array, np.ndarray]:
+    """The 3-word shingles of a batch of texts: one flat string array and
+    ``(n + 1,)`` int64 offsets, document ``i`` owning
+    ``flat[offsets[i]:offsets[i + 1]]`` in text order, repeats kept.
+
+    A shingle is ``SHINGLE_K`` consecutive ``tokenize_arrow`` tokens joined
+    by one space; a document of fewer tokens has the one shingle of all its
+    tokens joined, ``""`` for a null or blank text — so every document owns
+    at least one shingle and no ``reduceat`` segment is empty. Built with
+    one element-wise join of ``SHINGLE_K`` shifted views of the flat tokens,
+    each view masked to null past its document's last token (a null part is
+    skipped) — no per-document Python. ``text`` is an Arrow string array
+    or a list of ``str | None``."""
+    if not isinstance(text, (pa.Array, pa.ChunkedArray)):
+        text = pa.array(text, pa.string())
+    # a null text tokenizes as "" does: one empty token
+    toks, _ = tokenize_arrow(pc.fill_null(text, ""))
+    if isinstance(toks, pa.ChunkedArray):
+        toks = toks.combine_chunks()
+    flat = toks.flatten()
+    tok_off = toks.offsets.to_numpy().astype(np.int64)
+    tok_off -= tok_off[0]
+    n_tok = np.diff(tok_off)
+    offsets = np.zeros(len(n_tok) + 1, dtype=np.int64)
+    np.cumsum(np.maximum(n_tok - (SHINGLE_K - 1), 1), out=offsets[1:])
+    doc = np.repeat(np.arange(len(n_tok)), np.diff(offsets))
+    first = np.arange(offsets[-1]) - offsets[doc] + tok_off[doc]
+    end = tok_off[1:][doc]
+    views = [
+        flat.take(pa.array(first + k, mask=first + k >= end))
+        for k in range(SHINGLE_K)
+    ]
+    flat_shingles = pc.binary_join_element_wise(
+        *views, " ", null_handling="skip"
+    )
+    return flat_shingles, offsets
 
 
-class _MinHasher:
-    """Shared signature/band math. Permutation keys are generated once in
-    ``__init__`` (fixed seed → identical wherever it is built)."""
+def _hash64(shingles: pa.Array) -> np.ndarray:
+    """``pd.util.hash_array`` of every shingle string (uint64)."""
+    return pd.util.hash_array(shingles.to_numpy(zero_copy_only=False))
+
+
+def _unique_per_doc(
+    h: np.ndarray, offsets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each document's sorted-unique values of ``h`` (segments by
+    ``offsets``), with their offsets — one ``lexsort`` on (doc, value) for
+    the whole batch."""
+    doc = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+    order = np.lexsort((h, doc))
+    h, doc = h[order], doc[order]
+    keep = np.ones(len(h), dtype=bool)
+    keep[1:] = (h[1:] != h[:-1]) | (doc[1:] != doc[:-1])
+    uniq = np.zeros(len(offsets), dtype=np.int64)
+    np.cumsum(np.bincount(doc[keep], minlength=len(offsets) - 1), out=uniq[1:])
+    return h[keep], uniq
+
+
+SIG_BYTES = 8 * N_PERM  # 64 uint64 little-endian = 512 bytes/doc
+
+
+class MinHashSigStage:
+    """Per-batch stage: text → ``sig``, the 64-perm MinHash signature
+    packed as a fixed-size BINARY scalar (512 bytes, little-endian
+    uint64s), and ``shingles``, the sorted-unique 32-bit shingle hashes
+    packed as a variable-length BINARY blob (~4 bytes/token) — both from
+    one ``shingles_arrow`` pass and one ``pd.util.hash_array`` call.
+    Binary — not list columns — because both ride JOINS downstream and
+    pyarrow's acero join rejects list-typed payload fields
+    (``fixed_size_list … is not supported in join non-key field``).
+    Permutation keys are generated once in ``__init__`` (fixed seed →
+    identical wherever it is built)."""
 
     def __init__(self, seed: int = 42) -> None:
         rng = np.random.RandomState(seed)
@@ -188,100 +249,79 @@ class _MinHasher:
         blo = rng.randint(0, 1 << 32, size=N_BANDS, dtype=np.uint64)
         self.band_salt = (bhi << np.uint64(32)) | blo
 
-    def signature(self, text: str) -> np.ndarray:
-        x = _shingle_hashes_u32(text)[None, :]  # (1, n)
-        vals = mix64(x ^ self.keys[:, None])  # (N_PERM, n)
-        return vals.min(axis=1)  # (N_PERM,)
-
-    def batch_signatures(self, texts: list[str]) -> np.ndarray:
-        """(n, N_PERM) signatures for a whole batch: ONE
-        ``pd.util.hash_array`` call over the flattened shingles and
-        per-doc minima via ``np.minimum.reduceat`` — no per-document
-        hashing calls. Duplicate shingles within a doc don't change a
-        minimum, so skipping ``signature()``'s unique() step yields
-        bit-identical results."""
-        if not texts:
-            return np.empty((0, N_PERM), dtype=np.uint64)
-        shingle_lists = []
-        for t in texts:
-            toks = tokenize(t or "")
-            if len(toks) < SHINGLE_K:
-                shingle_lists.append([" ".join(toks)] if toks else [""])
-            else:
-                shingle_lists.append(
-                    [
-                        " ".join(toks[i : i + SHINGLE_K])
-                        for i in range(len(toks) - SHINGLE_K + 1)
-                    ]
-                )
-        counts = np.fromiter(
-            (len(s) for s in shingle_lists), dtype=np.int64
-        )
-        flat = np.asarray(
-            [s for lst in shingle_lists for s in lst], dtype=object
-        )
-        h = pd.util.hash_array(flat) & np.uint64(0xFFFFFFFF)
-        vals = mix64(h[None, :] ^ self.keys[:, None])  # (N_PERM, total)
-        offsets = np.zeros(len(counts), dtype=np.int64)
-        np.cumsum(counts[:-1], out=offsets[1:])
-        return np.minimum.reduceat(vals, offsets, axis=1).T  # (n, N_PERM)
-
-SIG_BYTES = 8 * N_PERM  # 64 uint64 little-endian = 512 bytes/doc
-
-
-class MinHashSigStage(_MinHasher):
-    """Per-batch stage: text → full 64-perm signature packed as a
-    fixed-size BINARY scalar (512 bytes, little-endian uint64s). Binary —
-    not a list column — because the signature rides JOINS downstream and
-    pyarrow's acero join rejects list-typed payload fields
-    (``fixed_size_list … is not supported in join non-key field``)."""
-
-    def __init__(self, seed: int = 42) -> None:
-        super().__init__(seed)
-
     def __call__(self, batch: pa.Table) -> pa.Table:
-        sigs = self.batch_signatures(batch["text"].to_pylist())
-        sigs = np.ascontiguousarray(sigs.astype("<u8"))
+        flat, offsets = shingles_arrow(batch["text"])
+        h = _hash64(flat) & np.uint64(0xFFFFFFFF)
+        vals = mix64(h[None, :] ^ self.keys[:, None])  # (N_PERM, total)
+        # repeated shingles don't change a minimum: no unique() needed
+        sigs = np.minimum.reduceat(vals, offsets[:-1], axis=1).T  # (n, N_PERM)
+        blob, blob_off = _unique_per_doc(h, offsets)
+        n = batch.num_rows
         return pa.table(
             {
                 "doc_id": batch["doc_id"],
-                "sig": pa.array(
-                    [sigs[i].tobytes() for i in range(len(sigs))],
+                "sig": pa.FixedSizeBinaryArray.from_buffers(
                     pa.binary(SIG_BYTES),
+                    n,
+                    [None, pa.py_buffer(np.ascontiguousarray(sigs, "<u8"))],
+                ),
+                "shingles": pa.BinaryArray.from_buffers(
+                    pa.binary(),
+                    n,
+                    [
+                        None,
+                        pa.py_buffer((blob_off * 4).astype(np.int32)),
+                        pa.py_buffer(blob.astype("<u4")),
+                    ],
                 ),
             }
         )
 
 
 def _unpack_sigs(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
-    """(n, N_PERM) uint64 view of a packed-binary signature column."""
-    blobs = col.to_pylist()
-    if not blobs:
-        return np.empty((0, N_PERM), dtype=np.uint64)
-    return np.frombuffer(b"".join(blobs), dtype="<u8").reshape(-1, N_PERM)
+    """(n, N_PERM) uint64 view of a packed-binary signature column's data
+    buffer."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    return np.frombuffer(
+        col.buffers()[1],
+        dtype="<u8",
+        count=len(col) * N_PERM,
+        offset=col.offset * SIG_BYTES,
+    ).reshape(-1, N_PERM)
+
+
+def _signature_scan(sf_dir: str, stage: MinHashSigStage) -> ray.data.Dataset:
+    """The one corpus scan of the MinHash family: ``doc_id``, ``sig`` and
+    ``shingles`` per document, in plain tasks."""
+    return _docs(sf_dir, ["doc_id", "text"]).map_batches(
+        stage, batch_format="pyarrow", batch_size=256
+    )
 
 
 def minhash_lsh_pairs(
-    sf_dir: str,
-    threshold: float = 0.5,
-    seed: int = 42,
-    checkpoint_dir: str | None = None,
+    sf_dir: str, threshold: float = 0.5, seed: int = 42
 ) -> ray.data.Dataset:
-    """Candidate near-dup pairs: shingle → minhash → band → bucket.
-    FULLY DISTRIBUTED — on web corpora the near-dup pair set is
-    corpus-proportional (30-50% dup rates), so nothing here may funnel
-    through the driver or a broadcast id set (round-3 verdict item 5).
-    The driver only ever sees scalar counts.
+    """Candidate near-dup pairs: shingle → minhash → band → bucket, from
+    one corpus scan whose shingle blobs are projected away before the
+    signatures are stored. FULLY DISTRIBUTED — on web corpora the
+    near-dup pair set is corpus-proportional (30-50% dup rates), so
+    nothing here may funnel through the driver or a broadcast id set
+    (round-3 verdict item 5). The driver only ever sees scalar counts."""
+    stage = MinHashSigStage(seed=seed)
+    sigs = _signature_scan(sf_dir, stage).select_columns(["doc_id", "sig"])
+    return _lsh_pairs(sigs.materialize(), stage.band_salt, threshold)
 
-    Exactly THREE all-to-all exchanges after the scan, each one sort on
-    the bounded partition key (``pipelines.aggregate``):
 
-    1. ONE corpus scan → 512-byte packed signatures (plain tasks; the
-       hasher is built once where the plan is made). Persisted to
-       ``checkpoint_dir`` parquet when given (the job's resume point at
-       cluster scale), object-store-only otherwise. Slim band rows
-       (doc_id, band, band_hash) derive from the signatures with a
-       vectorized pass — text is never re-read.
+def _lsh_pairs(
+    sigs: ray.data.Dataset, band_salt: np.ndarray, threshold: float
+) -> ray.data.Dataset:
+    """``(doc_a, doc_b, est_jaccard)`` from a materialized
+    ``(doc_id, sig)`` table, in exactly THREE all-to-all exchanges, each
+    one sort on the bounded partition key (``pipelines.aggregate``):
+
+    1. Slim band rows (doc_id, band, band_hash) derive from the
+       signatures with a vectorized pass — text is never re-read.
     2. SELF-JOIN of band rows on (band, band_hash): co-bucketed ordered
        pairs fall out vectorized — no per-bucket Python, no separate
        hot-bucket detection pass. Singleton buckets cost one self-row
@@ -298,27 +338,8 @@ def minhash_lsh_pairs(
        together (and collapses duplicate discoveries from different
        bands); the est compare is a 64-lane numpy op per pair,
        result-bounded."""
-    stage = MinHashSigStage(seed=seed)
-
-    def _sigs(batch: pa.Table) -> pa.Table:
-        return stage(batch)
-
-    sig_scan = _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        _sigs, batch_format="pyarrow", batch_size=256
-    )
-    # materialized: the self-join and the attach both read the signatures
-    if checkpoint_dir is not None:
-        os.makedirs(checkpoint_dir, exist_ok=True)
-        sig_scan.write_parquet(checkpoint_dir)
-        sigs = ray.data.read_parquet(
-            checkpoint_dir, override_num_blocks=pool_size()
-        ).materialize()
-    else:
-        sigs = sig_scan.materialize()
     if _is_empty(sigs):
         return _empty_pairs("est_jaccard")
-
-    band_salt = stage.band_salt  # closure state, pickled per task
 
     def _band_rows(batch: pa.Table) -> pa.Table:
         s = _unpack_sigs(batch["sig"]).T  # (N_PERM, n)
@@ -422,42 +443,37 @@ def minhash_pair_set(
 # n-gram Jaccard verification (exact) for candidate pairs — co-partitioned
 # ---------------------------------------------------------------------------
 
-def _shingle_blobs(batch: pa.Table) -> pa.Table:
-    """text → the doc's sorted-unique 32-bit shingle hashes packed as a
-    variable-length BINARY blob (~4 bytes/token). Binary because the blob
-    rides a JOIN (acero rejects list-typed join payloads). Runs over ALL
-    documents: at web dup rates the candidate id set is
-    corpus-proportional, so a broadcast id filter would die at the driver
-    — the slim blob table riding one shuffle is the scale-honest trade."""
-    blobs = [
-        _shingle_hashes_u32(t or "").astype("<u4").tobytes()
-        for t in batch["text"].to_pylist()
-    ]
-    return pa.table(
-        {"doc_id": batch["doc_id"], "shingles": pa.array(blobs, pa.binary())}
-    )
-
-
 def verify_jaccard_pairs(
     sf_dir: str, threshold: float = 0.5, seed: int = 42
 ) -> ray.data.Dataset:
     """MinHash candidates verified with exact shingle-set Jaccard —
     fully distributed, no driver materialization and no broadcast:
 
-    1. candidate pairs from ``minhash_lsh_pairs``, each exploded to two
-       side rows,
-    2. sorted-unique shingle blobs for every document (one pruned scan),
-    3. ONE join attaches each side's blob and one aggregate on the pair
-       brings the two blobs together (min and max: Jaccard is
-       symmetric) — same shape as the signature attach in
-       ``minhash_lsh_pairs``,
+    1. ONE corpus scan (``_signature_scan``) gives every document's
+       signature and sorted-unique shingle blob, materialized once;
+    2. candidate pairs from its signatures (``_lsh_pairs`` at 0.6× the
+       threshold), each exploded to two side rows;
+    3. ONE join attaches each side's blob from the same scan and one
+       aggregate on the pair brings the two blobs together (min and max:
+       Jaccard is symmetric) — same shape as the signature attach in
+       ``_lsh_pairs``,
     4. exact Jaccard per pair via ``np.intersect1d`` over the two
        decoded sorted arrays (vectorized per pair; pair rows are
        result-bounded).
 
+    The blobs cover ALL documents: at web dup rates the candidate id set
+    is corpus-proportional, so a broadcast id filter would die at the
+    driver.
+
     Values are raw float64 ratios (|A∩B|/|A∪B| of integer counts) —
     bit-identical to the DuckDB oracle's division, so no rounding."""
-    cand = minhash_lsh_pairs(sf_dir, threshold=threshold * 0.6, seed=seed)
+    stage = MinHashSigStage(seed=seed)
+    scan = _signature_scan(sf_dir, stage).materialize()
+    cand = _lsh_pairs(
+        scan.select_columns(["doc_id", "sig"]).materialize(),
+        stage.band_salt,
+        threshold * 0.6,
+    )
     if _is_empty(cand):
         return _empty_pairs("jaccard")
 
@@ -467,12 +483,9 @@ def verify_jaccard_pairs(
             batch["doc_b"].to_numpy(zero_copy_only=False),
         )
 
-    blobs = _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        _shingle_blobs, batch_format="pyarrow", batch_size=512
-    )
     attached = partitioned_join(
         cand.map_batches(_sides, batch_format="pyarrow"),
-        blobs,
+        scan.select_columns(["doc_id", "shingles"]),
         ["jkey"],
         ["doc_id"],
         "inner",
@@ -517,35 +530,12 @@ def verify_jaccard_pairs(
 # ---------------------------------------------------------------------------
 
 
-def shingle_simhash64_batch(texts: list[str]) -> np.ndarray:
-    """Production 64-bit SimHash over 3-word-shingle features — the fast
-    twin of ``_md5_shingle_simhash64`` (which exists ONLY so the SQL
-    oracle can recompute signatures via ``md5_number_lower``; its
-    per-shingle ``hashlib.md5`` loop would dominate a corpus-wide scan).
-    Same shingling and short-doc fallback, different feature hash, so the
-    two paths emit different signatures but the same near-dup GEOMETRY —
-    pinned by the planted-corpus parity test."""
-    n = len(texts)
-    if n == 0:
-        return np.empty(0, dtype=np.uint64)
-    flat: list[str] = []
-    offsets = np.empty(n + 1, dtype=np.int64)
-    offsets[0] = 0
-    for i, text in enumerate(texts):
-        toks = tokenize(text or "")
-        if len(toks) < SHINGLE_K:
-            flat.append(" ".join(toks))
-        else:
-            flat.extend(
-                {
-                    " ".join(toks[j : j + SHINGLE_K])
-                    for j in range(len(toks) - SHINGLE_K + 1)
-                }
-            )
-        offsets[i + 1] = len(flat)
-    # ONE ``pd.util.hash_array`` call for the whole batch, bit votes as a
-    # segmented ``np.add.reduceat`` — no per-feature Python in the hot path
-    h = pd.util.hash_array(np.asarray(flat, dtype=object))
+def _simhash64(h: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """64-bit SimHash of each document from its shingles' 64-bit feature
+    hashes ``h`` (segments by ``offsets``): every distinct feature votes
+    ±1 on each bit. Bit votes are one segmented ``np.add.reduceat`` over
+    the batch — no per-feature Python."""
+    h, offsets = _unique_per_doc(h, offsets)
     bits = np.unpackbits(
         h.view(np.uint8).reshape(-1, 8), axis=1, bitorder="little"
     ).astype(np.int64)
@@ -557,6 +547,19 @@ def shingle_simhash64_batch(texts: list[str]) -> np.ndarray:
         .view(np.uint64)
         .ravel()
     )
+
+
+def shingle_simhash64_batch(texts) -> np.ndarray:
+    """Production 64-bit SimHash over 3-word-shingle features — the fast
+    twin of ``_md5_shingle_simhash64`` (which exists ONLY so the SQL
+    oracle can recompute signatures via ``md5_number_lower``; its
+    per-shingle ``hashlib.md5`` loop would dominate a corpus-wide scan).
+    Same shingles (``shingles_arrow``), different feature hash
+    (``pd.util.hash_array``), so the two paths emit different signatures
+    but the same near-dup GEOMETRY — pinned by the planted-corpus parity
+    test."""
+    flat, offsets = shingles_arrow(texts)
+    return _simhash64(_hash64(flat), offsets)
 
 
 # --------------------------------------------------------------------------
@@ -577,7 +580,7 @@ def _popcount64(x: np.ndarray) -> np.ndarray:
     return (x * np.uint64(0x0101010101010101)) >> np.uint64(56)
 
 
-def _md5_shingle_simhash64(texts: list) -> np.ndarray:
+def _md5_shingle_simhash64(texts) -> np.ndarray:
     """64-bit SimHash over 3-word-shingle features, feature-hashed with
     MD5 so an independent SQL engine can recompute the identical
     signature (DuckDB ``md5_number_lower`` == bytes 8:16 of the digest,
@@ -586,40 +589,22 @@ def _md5_shingle_simhash64(texts: list) -> np.ndarray:
     on the synthetic corpus: >half of all UNRELATED pairs within hamming
     15 of each other), while 3-shingle space separates cleanly (planted
     near-dups ≤ 8, unrelated ≥ 15)."""
-    import hashlib
-
-    out = np.empty(len(texts), dtype=np.uint64)
-    for i, text in enumerate(texts):
-        toks = tokenize(text or "")
-        if len(toks) < SHINGLE_K:
-            shingles = {" ".join(toks)} if toks else {""}
-        else:
-            shingles = {
-                " ".join(toks[j : j + SHINGLE_K])
-                for j in range(len(toks) - SHINGLE_K + 1)
-            }
-        h = np.frombuffer(
-            b"".join(
-                hashlib.md5(s.encode("utf-8")).digest()[8:16]
-                for s in shingles
-            ),
-            dtype="<u8",
-        )
-        bits = np.unpackbits(
-            h.view(np.uint8).reshape(-1, 8), axis=1, bitorder="little"
-        )
-        votes = bits.sum(axis=0).astype(np.int64) * 2 - len(h)
-        out[i] = np.packbits(
-            (votes > 0).astype(np.uint8), bitorder="little"
-        ).view(np.uint64)[0]
-    return out
+    flat, offsets = shingles_arrow(texts)
+    h = np.frombuffer(
+        b"".join(
+            hashlib.md5(s.encode("utf-8")).digest()[8:16]
+            for s in flat.to_pylist()
+        ),
+        dtype="<u8",
+    )
+    return _simhash64(h, offsets)
 
 
 def _simhash_sig_fn(oracle_features: bool):
     feat = _md5_shingle_simhash64 if oracle_features else shingle_simhash64_batch
 
     def _sig_task(batch: pa.Table) -> pa.Table:
-        sims = feat(batch["text"].to_pylist())
+        sims = feat(batch["text"])
         return pa.table(
             {
                 "doc_id": batch["doc_id"],
@@ -672,15 +657,7 @@ def simhash_neardup_pairs(
         )
         .materialize()  # both sides of the self-join read it
     )
-    empty = ray.data.from_arrow(
-        pa.table(
-            {
-                "doc_a": pa.array([], pa.int64()),
-                "doc_b": pa.array([], pa.int64()),
-                "hamming": pa.array([], pa.int64()),
-            }
-        )
-    )
+    empty = _empty_pairs("hamming", pa.int64())
     if _is_empty(sigs):
         return empty
 

@@ -207,27 +207,6 @@ def test_embedding_neardup_degenerate_bucket_completes(
     assert any(a < 300 and b < 300 for a, b in got)
 
 
-def test_minhash_scratch_dir_cleaned_up(ray_session, planted_dir):
-    """The ephemeral band-row parquet scratch is removed after the call
-    (ADVICE: every call used to leak a corpus-sized dump under /tmp)."""
-    import os
-
-    root = "/tmp/rika_ray_scratch"
-    before = set(os.listdir(root)) if os.path.isdir(root) else set()
-    minhash_lsh_pairs(planted_dir, threshold=0.5).take_all()
-    after = set(os.listdir(root)) if os.path.isdir(root) else set()
-    assert not {d for d in after - before if d.startswith("minhash-bands-")}
-
-
-def test_minhash_explicit_checkpoint_dir_persists(ray_session, planted_dir, tmp_path):
-    """An explicit checkpoint_dir is the caller's to keep: band rows stay."""
-    ckpt = str(tmp_path / "bands")
-    minhash_lsh_pairs(planted_dir, threshold=0.5, checkpoint_dir=ckpt).take_all()
-    import glob
-
-    assert glob.glob(f"{ckpt}/*.parquet")
-
-
 def test_driver_testdata_has_no_neardups_at_09(ray_session):
     """Confirms the 0-row result of embedding_neardup_pairs on the driver
     testdata is genuinely correct: the exact baseline finds nothing ≥ 0.9
@@ -400,3 +379,132 @@ def test_pair_operators_without_pairs_keep_their_columns(ray_session, tmp_path, 
         out = fn(str(tmp_path))
         assert out.count() == 0, fn.__name__
         assert out.schema().names == cols, fn.__name__
+
+
+# ---------------------------------------------------------------------------
+# The batch shingler against a per-document reference
+# ---------------------------------------------------------------------------
+
+EDGE_TEXTS = [
+    None,
+    "",
+    "   ",
+    "\t\n \r\f",
+    "one",
+    "Two  words",
+    "a b c a b c a b c",  # repeated shingles
+    "x y z x y z",
+    "a b c d",  # U+00A0 is not a separator
+    "  lead\ttab\nnew\r\nline  \f end ",
+    "ΣΑΣ İ ΣΑΣ İ",
+]
+
+
+def _ref_shingles(text):
+    """The per-document shingle loop the batch shingler replaced."""
+    from rika_ray.functions.text import tokenize
+    from rika_ray.pipelines.dedup import SHINGLE_K
+
+    toks = tokenize(text or "")
+    if len(toks) < SHINGLE_K:
+        return [" ".join(toks)]
+    return [
+        " ".join(toks[i : i + SHINGLE_K])
+        for i in range(len(toks) - SHINGLE_K + 1)
+    ]
+
+
+def _ref_votes(h):
+    bits = np.unpackbits(h.view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
+    votes = bits.sum(axis=0).astype(np.int64) * 2 - len(h)
+    return int(np.packbits((votes > 0).astype(np.uint8), bitorder="little").view(np.uint64)[0])
+
+
+def _ref_features(text, keys):
+    """(signature, blob, simhash, md5 simhash) of one text, per document."""
+    import hashlib
+
+    import pandas as pd
+
+    from rika_ray.functions.text import mix64
+
+    shingles = _ref_shingles(text)
+    h32 = pd.util.hash_array(np.asarray(shingles, dtype=object)) & np.uint64(0xFFFFFFFF)
+    sig = mix64(h32[None, :] ^ keys[:, None]).min(axis=1)
+    distinct = sorted(set(shingles))
+    sim = _ref_votes(pd.util.hash_array(np.asarray(distinct, dtype=object)))
+    md5 = _ref_votes(
+        np.frombuffer(
+            b"".join(hashlib.md5(s.encode("utf-8")).digest()[8:16] for s in distinct),
+            dtype="<u8",
+        )
+    )
+    return sig, np.unique(h32).astype("<u4").tobytes(), sim, md5
+
+
+def _batch_features(texts, doc_ids=None):
+    from rika_ray.pipelines.dedup import (
+        MinHashSigStage,
+        _md5_shingle_simhash64,
+        _unpack_sigs,
+        shingle_simhash64_batch,
+    )
+
+    col = pa.array(texts, pa.string())
+    ids = pa.array(doc_ids if doc_ids is not None else range(len(texts)), pa.int64())
+    out = MinHashSigStage()(pa.table({"doc_id": ids, "text": col}))
+    return (
+        _unpack_sigs(out["sig"]),
+        out["shingles"].to_pylist(),
+        shingle_simhash64_batch(col),
+        _md5_shingle_simhash64(col),
+    )
+
+
+@pytest.mark.parametrize("corpus", ["edge", "planted"])
+def test_shingler_matches_per_document_reference(planted_dir, corpus):
+    """Signatures, Jaccard blobs and both SimHash variants from the batch
+    shingler are bit-identical to the per-document shingle loop."""
+    from rika_ray.pipelines.dedup import MinHashSigStage
+
+    texts = (
+        EDGE_TEXTS
+        if corpus == "edge"
+        else pq.read_table(planted_dir + "/documents.parquet")["text"].to_pylist()
+    )
+    sigs, blobs, sims, md5s = _batch_features(texts)
+    keys = MinHashSigStage().keys
+    for i, text in enumerate(texts):
+        sig, blob, sim, md5 = _ref_features(text, keys)
+        assert np.array_equal(sigs[i], sig), repr(text)
+        assert blobs[i] == blob, repr(text)
+        assert int(sims[i]) == sim, repr(text)
+        assert int(md5s[i]) == md5, repr(text)
+
+
+def test_shingler_values_do_not_depend_on_batch_neighbours(planted_dir):
+    """A document's features are the same alone, in a batch, and in a
+    slice of a larger table (non-zero Arrow offsets)."""
+    from rika_ray.pipelines.dedup import MinHashSigStage, _unpack_sigs
+
+    planted = pq.read_table(planted_dir + "/documents.parquet")["text"].to_pylist()
+    texts = EDGE_TEXTS + planted[:6]
+    together = _batch_features(texts)
+    for i, text in enumerate(texts):
+        alone = _batch_features([text])
+        assert np.array_equal(together[0][i], alone[0][0]), repr(text)
+        assert together[1][i] == alone[1][0], repr(text)
+        assert together[2][i] == alone[2][0], repr(text)
+        assert together[3][i] == alone[3][0], repr(text)
+    table = pa.table(
+        {"doc_id": pa.array(range(len(texts)), pa.int64()), "text": pa.array(texts)}
+    )
+    stage = MinHashSigStage()
+    for start in (1, 5, len(texts) - 2):
+        out = stage(table.slice(start, 2))
+        assert np.array_equal(_unpack_sigs(out["sig"]), together[0][start : start + 2])
+        assert out["shingles"].to_pylist() == together[1][start : start + 2]
+        assert np.array_equal(
+            _unpack_sigs(stage(table)["sig"].combine_chunks().slice(start, 2)),
+            together[0][start : start + 2],
+        )

@@ -7,7 +7,7 @@ key-sort and tokenizer invariants hold for arbitrary inputs."""
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rika_ray import docgen
@@ -361,6 +361,8 @@ def test_quality_scorer_vectorized_matches_scalar(texts):
 
 
 @given(st.text(max_size=400))
+@example("ΣΑΣ")
+@example("İ")
 @settings(max_examples=60, deadline=None)
 def test_tokenize_python_matches_arrow(s):
     """tokenize() (Python) and tokenize_arrow() (RE2) agree on token count
@@ -378,6 +380,32 @@ def test_tokenize_python_matches_arrow(s):
     if py:
         got = [t for t in toks.to_pylist()[0] if t]
         assert got == py
+
+
+def test_tokenize_lowers_like_duckdb():
+    """The two strings on which Python's ``str.lower`` departs from
+    lowering each code point alone (final sigma, and İ's two-code-point
+    lowercase) tokenize as the oracle's ``_TOKENIZE_SQL`` does."""
+    import duckdb
+
+    from __ray_entry__ import _TOKENIZE_SQL
+
+    for text in ["ΣΑΣ", "İ", "ὈΔΥΣΣΕΎΣ İSTANBUL"]:
+        (sql,) = duckdb.execute(
+            f"SELECT {_TOKENIZE_SQL} FROM (SELECT ? AS text)", [text]
+        ).fetchone()
+        assert tokenize(text) == sql, text
+
+
+@SETTINGS
+@given(st.text(alphabet=st.sampled_from("ΣσςİiIA \t"), max_size=40) | st.text())
+def test_tokenize_lowers_each_code_point_alone(s):
+    """``tokenize`` lowers each code point alone to the first code point
+    of its lowercase, as Arrow and DuckDB do."""
+    import re
+
+    alone = "".join(c.lower()[:1] for c in s)
+    assert tokenize(s) == [t for t in re.split(r"[\t\n\f\r ]+", alone) if t]
 
 
 @SETTINGS
