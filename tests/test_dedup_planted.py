@@ -415,9 +415,12 @@ def _ref_shingles(text):
 
 
 def _ref_votes(h):
-    bits = np.unpackbits(h.view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
+    bits = np.unpackbits(
+        h.view(np.uint8).reshape(-1, 8), axis=1, bitorder="little"
+    )
     votes = bits.sum(axis=0).astype(np.int64) * 2 - len(h)
-    return int(np.packbits((votes > 0).astype(np.uint8), bitorder="little").view(np.uint64)[0])
+    sim = np.packbits((votes > 0).astype(np.uint8), bitorder="little")
+    return int(sim.view(np.uint64)[0])
 
 
 def _ref_features(text, keys):
@@ -429,20 +432,23 @@ def _ref_features(text, keys):
     from rika_ray.functions.text import mix64
 
     shingles = _ref_shingles(text)
-    h32 = pd.util.hash_array(np.asarray(shingles, dtype=object)) & np.uint64(0xFFFFFFFF)
+    h = pd.util.hash_array(np.asarray(shingles, dtype=object))
+    h32 = h & np.uint64(0xFFFFFFFF)
     sig = mix64(h32[None, :] ^ keys[:, None]).min(axis=1)
     distinct = sorted(set(shingles))
     sim = _ref_votes(pd.util.hash_array(np.asarray(distinct, dtype=object)))
     md5 = _ref_votes(
         np.frombuffer(
-            b"".join(hashlib.md5(s.encode("utf-8")).digest()[8:16] for s in distinct),
+            b"".join(
+                hashlib.md5(s.encode("utf-8")).digest()[8:16] for s in distinct
+            ),
             dtype="<u8",
         )
     )
     return sig, np.unique(h32).astype("<u4").tobytes(), sim, md5
 
 
-def _batch_features(texts, doc_ids=None):
+def _batch_features(texts):
     from rika_ray.pipelines.dedup import (
         MinHashSigStage,
         _md5_shingle_simhash64,
@@ -451,7 +457,7 @@ def _batch_features(texts, doc_ids=None):
     )
 
     col = pa.array(texts, pa.string())
-    ids = pa.array(doc_ids if doc_ids is not None else range(len(texts)), pa.int64())
+    ids = pa.array(range(len(texts)), pa.int64())
     out = MinHashSigStage()(pa.table({"doc_id": ids, "text": col}))
     return (
         _unpack_sigs(out["sig"]),
@@ -487,8 +493,8 @@ def test_shingler_values_do_not_depend_on_batch_neighbours(planted_dir):
     slice of a larger table (non-zero Arrow offsets)."""
     from rika_ray.pipelines.dedup import MinHashSigStage, _unpack_sigs
 
-    planted = pq.read_table(planted_dir + "/documents.parquet")["text"].to_pylist()
-    texts = EDGE_TEXTS + planted[:6]
+    planted = pq.read_table(planted_dir + "/documents.parquet")["text"]
+    texts = EDGE_TEXTS + planted.to_pylist()[:6]
     together = _batch_features(texts)
     for i, text in enumerate(texts):
         alone = _batch_features([text])
@@ -497,14 +503,16 @@ def test_shingler_values_do_not_depend_on_batch_neighbours(planted_dir):
         assert together[2][i] == alone[2][0], repr(text)
         assert together[3][i] == alone[3][0], repr(text)
     table = pa.table(
-        {"doc_id": pa.array(range(len(texts)), pa.int64()), "text": pa.array(texts)}
+        {
+            "doc_id": pa.array(range(len(texts)), pa.int64()),
+            "text": pa.array(texts, pa.string()),
+        }
     )
     stage = MinHashSigStage()
     for start in (1, 5, len(texts) - 2):
+        want_sigs = together[0][start : start + 2]
         out = stage(table.slice(start, 2))
-        assert np.array_equal(_unpack_sigs(out["sig"]), together[0][start : start + 2])
+        assert np.array_equal(_unpack_sigs(out["sig"]), want_sigs)
         assert out["shingles"].to_pylist() == together[1][start : start + 2]
-        assert np.array_equal(
-            _unpack_sigs(stage(table)["sig"].combine_chunks().slice(start, 2)),
-            together[0][start : start + 2],
-        )
+        sliced = stage(table)["sig"].combine_chunks().slice(start, 2)
+        assert np.array_equal(_unpack_sigs(sliced), want_sigs)
