@@ -98,7 +98,11 @@ def _shuffled(tagged: ray.data.Dataset, n_parts: int, fn, batch_format: str):
 
 def partitioned_map(ds: ray.data.Dataset, keys: list[str], fn) -> ray.data.Dataset:
     """Run ``fn`` (pandas frame in, pandas frame out) over the rows of a
-    few partitions at a time: all rows of a key reach the same call."""
+    few partitions at a time: all rows of a key reach the same call.
+
+    Each call's frame leaves as an Arrow block without schema metadata:
+    pandas metadata is a dict, which Ray cannot hash when it dedups the
+    schemas of the blocks it combines."""
     # counted once, where the plan is built: the tasks need not ask the
     # cluster
     n_parts = partition_count()
@@ -106,8 +110,10 @@ def partitioned_map(ds: ray.data.Dataset, keys: list[str], fn) -> ray.data.Datas
     def _tag(batch: pa.Table) -> pa.Table:
         return _tagged(batch, keys, n_parts)
 
-    def _run(part: pd.DataFrame) -> pd.DataFrame:
-        return fn(part.drop(columns=[PART]))
+    def _run(part: pd.DataFrame) -> pa.Table:
+        out = fn(part.drop(columns=[PART]))
+        table = pa.Table.from_pandas(out, preserve_index=False)
+        return table.replace_schema_metadata(None)
 
     tagged = ds.map_batches(_tag, batch_format="pyarrow", batch_size=None)
     return _shuffled(tagged, n_parts, _run, "pandas")

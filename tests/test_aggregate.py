@@ -171,6 +171,19 @@ def test_partitioned_map_sees_every_row_of_a_key_once(ray_session):
     assert sorted(got["rows"]) == sorted(exp["n"])
 
 
+def test_first_per_key_blocks_carry_no_schema_metadata(ray_session):
+    """``partitioned_map`` emits Arrow blocks without schema metadata:
+    Ray cannot hash pandas metadata when it dedups block schemas."""
+    import ray
+
+    from rika_ray.pipelines.relational import first_per_key
+
+    out = first_per_key(_ds(_table().select(["k1", "w"])), ["k1"], "w", 2)
+    blocks = ray.get(out.to_arrow_refs())
+    assert sum(b.num_rows for b in blocks) == 27 * 2
+    assert all(b.schema.metadata is None for b in blocks)
+
+
 def _join_sides(n_left: int = 20_000, n_right: int = 2_000) -> tuple:
     """(left, right): a two-column key with nulls on both sides, many rows
     per key on both sides, binary payloads, and a payload column named

@@ -245,7 +245,7 @@ def test_gzip_nested_depth_bounded():
 
     payload = b"inner text payload here"
     wrapped = payload
-    for _ in range(5):  # deeper than _GZIP_MAX_DEPTH
+    for _ in range(5):  # deeper than _MAX_DEPTH
         wrapped = gzip.compress(wrapped, mtime=0)
     row = _extract_one(wrapped)
     # bounded unwrap: never loops forever; deep nesting degrades to empty
@@ -338,7 +338,7 @@ def test_zip_members_concatenate_in_order():
         [("a.txt", b"alpha one\n"), ("sub/b.txt", b"beta two\n")]
     )
     assert sniff.sniff_bytes(z[:2048], z[-4096:]) == sniff.ZIP
-    content, ctype, cs, spans, meta = _stage()._do_zip(z, sniff.ZIP)
+    content, ctype, cs, spans, meta = _stage()._route(z, sniff.ZIP)
     assert content == "alpha one\nbeta two\n"
     assert ctype == sniff.ZIP and cs is None
     assert meta == {
@@ -356,7 +356,7 @@ def test_zip_html_member_extracts_main_content():
     ]
     page = docgen.build_html_page("T", paras, [])
     z = docgen.build_zip([("index.html", page)])
-    content, *_ = _stage()._do_zip(z, sniff.ZIP)
+    content, *_ = _stage()._route(z, sniff.ZIP)
     assert content == docgen.expected_html_content(paras) + "\n"
 
 
@@ -365,11 +365,11 @@ def test_tar_members_and_tgz_chain():
 
     t = docgen.build_tar([("x.txt", b"tar body\n")])
     assert sniff.sniff_bytes(t[:2048], t[-4096:]) == sniff.TAR
-    content, ctype, _, _, meta = _stage()._do_tar(t, sniff.TAR)
+    content, ctype, _, _, meta = _stage()._route(t, sniff.TAR)
     assert content == "tar body\n" and ctype == sniff.TAR
     # .tar.gz through the gzip kernel: media refines to the tar, the
     # container chain records both, outermost first
-    content2, ctype2, _, _, meta2 = _stage()._do_gzip(
+    content2, ctype2, _, _, meta2 = _stage()._route(
         gzip.compress(t, mtime=0), sniff.GZIP
     )
     assert content2 == "tar body\n" and ctype2 == sniff.TAR
@@ -380,7 +380,7 @@ def test_zip_nested_depth_bounded():
     z = docgen.build_zip([("leaf.txt", b"leaf\n")])
     for _ in range(4):
         z = docgen.build_zip([("inner.zip", z)])
-    content, *_ = _stage()._do_zip(z, sniff.ZIP)
+    content, *_ = _stage()._route(z, sniff.ZIP)
     assert content == ""  # depth cap reached before the leaf
 
 
@@ -388,7 +388,7 @@ def test_zip_poison_member_skipped_archive_survives():
     z = docgen.build_zip(
         [("bad.pdf", b"%PDF-1.4 garbage with no xref"), ("ok.txt", b"fine\n")]
     )
-    content, *_ = _stage()._do_zip(z, sniff.ZIP)
+    content, *_ = _stage()._route(z, sniff.ZIP)
     assert content == "fine\n"
 
 
@@ -399,7 +399,7 @@ def test_zip_oversized_member_skipped_and_recorded():
     orig = arch.MAX_ENTRY_BYTES
     arch.MAX_ENTRY_BYTES = 64
     try:
-        content, _, _, _, meta = _stage()._do_zip(z, sniff.ZIP)
+        content, _, _, _, meta = _stage()._route(z, sniff.ZIP)
     finally:
         arch.MAX_ENTRY_BYTES = orig
     assert content == "ok\n"
@@ -413,7 +413,7 @@ def test_zip_entry_cap_records_truncation():
     orig = arch.MAX_ENTRIES
     arch.MAX_ENTRIES = 4
     try:
-        _, _, _, _, meta = _stage()._do_zip(z, sniff.ZIP)
+        _, _, _, _, meta = _stage()._route(z, sniff.ZIP)
     finally:
         arch.MAX_ENTRIES = orig
     assert meta["rika:entry-count"] == "6"
@@ -463,8 +463,8 @@ def test_bzip2_and_xz_unwrap_like_gzip():
     assert sniff.sniff_bytes(bz[:2048], bz[-4096:]) == sniff.BZIP2
     assert sniff.sniff_bytes(xz[:2048], xz[-4096:]) == sniff.XZ
     st = _stage()
-    c1, t1, _, _, m1 = st._do_bzip2(bz, sniff.BZIP2)
-    c2, t2, _, _, m2 = st._do_xz(xz, sniff.XZ)
+    c1, t1, _, _, m1 = st._route(bz, sniff.BZIP2)
+    c2, t2, _, _, m2 = st._route(xz, sniff.XZ)
     assert c1 == c2 == "compressed body text\n"
     assert t1.split(";")[0] == t2.split(";")[0] == sniff.PLAIN
     assert m1["rika:container"] == sniff.BZIP2
@@ -476,10 +476,10 @@ def test_tar_bz2_and_tar_xz_chain():
     import lzma
 
     t = docgen.build_tar([("x.txt", b"tar via bz2\n")])
-    c, ctype, _, _, meta = _stage()._do_bzip2(bz2.compress(t), sniff.BZIP2)
+    c, ctype, _, _, meta = _stage()._route(bz2.compress(t), sniff.BZIP2)
     assert c == "tar via bz2\n" and ctype == sniff.TAR
     assert meta["rika:container"] == f"{sniff.BZIP2},{sniff.TAR}"
-    c, ctype, _, _, meta = _stage()._do_xz(lzma.compress(t), sniff.XZ)
+    c, ctype, _, _, meta = _stage()._route(lzma.compress(t), sniff.XZ)
     assert c == "tar via bz2\n" and ctype == sniff.TAR
     assert meta["rika:container"] == f"{sniff.XZ},{sniff.TAR}"
 
@@ -490,13 +490,13 @@ def test_bzip2_bomb_guard_raises_for_error_row():
     from rika_ray.stages.extract import ExtractStage
 
     st = _stage()
-    orig = ExtractStage._GZIP_MAX_EXPANDED
-    ExtractStage._GZIP_MAX_EXPANDED = 1024
+    orig = ExtractStage._MAX_EXPANDED
+    ExtractStage._MAX_EXPANDED = 1024
     try:
         with pytest.raises(ValueError):
-            st._do_bzip2(bz2.compress(b"\x00" * 65536), sniff.BZIP2)
+            st._route(bz2.compress(b"\x00" * 65536), sniff.BZIP2)
     finally:
-        ExtractStage._GZIP_MAX_EXPANDED = orig
+        ExtractStage._MAX_EXPANDED = orig
 
 
 def test_7z_rar_zstd_detected_as_opaque_containers():
@@ -572,24 +572,24 @@ def test_name_hint_refines_only_text_plain():
 
 def test_csv_extraction_passthrough_and_shape():
     text = "id,name\n1,ann\n2,bob\n"
-    c, ctype, cs, spans, meta = _stage()._do_csv(text.encode(), sniff.CSV)
+    c, ctype, cs, spans, meta = _stage()._route(text.encode(), sniff.CSV)
     assert c == text  # Tika TextAndCSVParser: characters stream through
     assert ctype == "text/csv; charset=UTF-8" and cs == "UTF-8"
     assert meta["csv:delimiter"] == "comma"
     assert meta["csv:num-rows"] == "3" and meta["csv:num-columns"] == "2"
     # quoted field with an embedded delimiter parses as ONE cell
     q = 'id,name\n1,"last, first"\n2,plain\n'
-    _, _, _, _, meta = _stage()._do_csv(q.encode(), sniff.CSV)
+    _, _, _, _, meta = _stage()._route(q.encode(), sniff.CSV)
     assert meta["csv:num-columns"] == "2"
 
 
 def test_json_ndjson_extraction_metadata():
-    c, _, _, _, meta = _stage()._do_json(b'{"a": 1, "b": [2, 3]}', sniff.JSON)
+    c, _, _, _, meta = _stage()._route(b'{"a": 1, "b": [2, 3]}', sniff.JSON)
     assert c == '{"a": 1, "b": [2, 3]}'
     assert meta["json:valid"] == "true" and meta["json:num-keys"] == "2"
-    _, _, _, _, meta = _stage()._do_json(b'{"a": unterminated', sniff.JSON)
+    _, _, _, _, meta = _stage()._route(b'{"a": unterminated', sniff.JSON)
     assert meta["json:valid"] == "false"
-    _, _, _, _, meta = _stage()._do_ndjson(
+    _, _, _, _, meta = _stage()._route(
         b'{"i":1}\n{"i":2}\nbroken line\n', sniff.NDJSON
     )
     assert meta["ndjson:num-lines"] == "3"
@@ -602,7 +602,7 @@ def test_markdown_strips_to_plain_text():
         "1. first\n2. second\n\n```python\ncode line\n```\n\n"
         "![alt text](img.png) and *emph* plus __strong__.\n\n---\n"
     )
-    c, ctype, _, _, meta = _stage()._do_markdown(md.encode(), sniff.MARKDOWN)
+    c, ctype, _, _, meta = _stage()._route(md.encode(), sniff.MARKDOWN)
     assert "# " not in c and "```" not in c and "![" not in c
     assert "The Title" in c and "quoted line" in c
     assert "first\nsecond" in c  # ordered-list markers stripped
@@ -620,7 +620,7 @@ def test_svg_text_and_dimensions():
         b"<title>Chart</title><desc>A description</desc>"
         b'<text x="0" y="0">Label <tspan>one</tspan></text></svg>'
     )
-    c, ctype, cs, _, meta = _stage()._do_svg(svg, sniff.SVG)
+    c, ctype, cs, _, meta = _stage()._route(svg, sniff.SVG)
     assert c == "Chart\nA description\nLabel one\n"
     assert cs is None and ctype == sniff.SVG
     assert meta == {"dc:title": "Chart", "svg:width": "32", "svg:height": "16"}
@@ -634,7 +634,7 @@ def test_feed_extraction_rss_and_atom():
         b"<item><title>Two</title><description>Second item</description></item>"
         b"</channel></rss>"
     )
-    c, _, _, _, meta = _stage()._do_feed(rss, sniff.RSS)
+    c, _, _, _, meta = _stage()._route(rss, sniff.RSS)
     assert c == "News\nAll the news\nOne\nFirst item\nTwo\nSecond item\n"
     assert meta == {"feed:num-entries": "2", "dc:title": "News"}
     atom = (
@@ -642,7 +642,7 @@ def test_feed_extraction_rss_and_atom():
         b"<entry><title>Post</title><summary>Summary text</summary></entry>"
         b"</feed>"
     )
-    c, _, _, _, meta = _stage()._do_feed(atom, sniff.ATOM)
+    c, _, _, _, meta = _stage()._route(atom, sniff.ATOM)
     assert c == "Blog\nPost\nSummary text\n"
     assert meta == {"feed:num-entries": "1", "dc:title": "Blog"}
 
@@ -651,9 +651,9 @@ def test_corrupt_svg_feed_raise_for_error_row():
     import pytest as _pytest
 
     with _pytest.raises(Exception):
-        _stage()._do_svg(b"<svg><unclosed", sniff.SVG)
+        _stage()._route(b"<svg><unclosed", sniff.SVG)
     with _pytest.raises(Exception):
-        _stage()._do_feed(b"<rss><channel><broken", sniff.RSS)
+        _stage()._route(b"<rss><channel><broken", sniff.RSS)
 
 
 def test_odg_draw_text_boxes_extract():
@@ -677,7 +677,7 @@ def test_vsdx_shape_text_extracts_in_page_order():
         title="Flow", creator="qa",
     )
     assert sniff.sniff_bytes(v[:2048], v[-4096:]) == sniff.VSDX
-    c, _ctype, _cs, spans, meta = _stage()._do_vsdx(v, sniff.VSDX)
+    c, _ctype, _cs, spans, meta = _stage()._route(v, sniff.VSDX)
     assert c == "Start node\nEnd node\nSecond page shape\n"
     assert meta["dc:title"] == "Flow"
     assert meta["visio:page-count"] == "2"

@@ -53,7 +53,7 @@ def test_7z_through_extraction_pipeline():
         codec="lzma2",
         encoded_header=True,
     )
-    content, ctype, _cs, _spans, meta = _stage()._do_7z(blob, sniff.SEVENZ)
+    content, ctype, _cs, _spans, meta = _stage()._route(blob, sniff.SEVENZ)
     assert "seven zip text payload" in content
     assert meta["rika:container"] == sniff.SEVENZ
     assert meta["rika:entry-count"] == "2"
@@ -110,7 +110,7 @@ def test_rar_compressed_members_listed_but_skipped(builder):
 
 def test_rar_through_extraction_pipeline():
     blob = docgen.build_rar5([("t.txt", b"rar five stored text\n")])
-    content, _ctype, _cs, _spans, meta = _stage()._do_rar(blob, sniff.RAR)
+    content, _ctype, _cs, _spans, meta = _stage()._route(blob, sniff.RAR)
     assert "rar five stored text" in content
     assert meta["rika:container"] == sniff.RAR
 
@@ -124,7 +124,7 @@ def test_zstd_raw_and_rle_blocks_decode():
 def test_zstd_unwrap_through_pipeline_resniffs_inner():
     inner = b"just a plain utf-8 text file with several words\n"
     z = docgen.build_zstd_raw(inner)
-    content, ctype, _cs, _spans, meta = _stage()._do_zstd(z, sniff.ZSTD)
+    content, ctype, _cs, _spans, meta = _stage()._route(z, sniff.ZSTD)
     assert content == inner.decode()
     assert meta["rika:container"] == sniff.ZSTD
 
@@ -155,6 +155,6 @@ def test_package_members_route_through_full_dispatch():
     semantics, reference lib/rika/parser.rb:21-29)."""
     pdf = docgen.build_pdf([["nested pdf line one", "nested pdf line two"]])
     blob = docgen.build_7z([("doc.pdf", pdf)], codec="lzma2")
-    content, *_ = _stage()._do_7z(blob, sniff.SEVENZ)
+    content, *_ = _stage()._route(blob, sniff.SEVENZ)
     assert "nested pdf line one" in content
     assert "nested pdf line two" in content
