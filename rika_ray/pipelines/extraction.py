@@ -30,9 +30,14 @@ Scale design notes (§4):
 - The extraction path is shuffle-free (embarrassingly parallel); wide ops
   (error tallies, dedup) happen downstream on the much smaller extracted
   table.
-- ``batch_size`` is deliberately small: documents are multi-KB..multi-MB,
-  so the kernel walks its block in slices of 64-256 rows, which bounds the
-  intermediate (decoded, sniffed, extracted) columns it holds at once;
+- One kernel call per read block. Ray's Parquet reader bounds the block:
+  at most one row group (1,024 rows in every file the corpus writers
+  make) and about ``target_max_block_size / 10`` (12.8 MiB) of estimated
+  row bytes, so the kernel's fixed cost per call (array set-up in sniff,
+  batch charset detection, lang scoring, finalize) is paid once per
+  block. The stages bound their own transients, whatever the block:
+  sniff reads 2 + 4 KiB windows, charset detection 8 KiB heads, lang
+  scores 128 texts per chunk, and a container expands one row at a time.
   ``route_mega_docs`` additionally isolates mega-documents into their own
   blocks on the SAME single scan (dynamic block splitting capped at
   ``mega_doc_bytes``) so one 100 MB page cannot stall a block of small
@@ -63,10 +68,12 @@ from rika_ray.stages.sniff import detect_content_type
 class ExtractionConfig:
     max_content_length: int = -1  # chars; -1 unlimited, 0 suppress (M11)
     key_sort: bool = True  # metadata key sort (M10)
-    # rows per kernel call (docs are heavy): Ray hands the task whole
-    # blocks and ``fused_extract`` slices them, so a row-count batch size
-    # cannot stop the read fusing into the kernel
-    batch_size: int = 128
+    # most rows per kernel call: Ray hands the task whole read blocks
+    # (one row group, 1,024 rows in the corpus writers' files, so one
+    # call each) and ``fused_extract`` slices only larger ones; a
+    # row-count batch size in ``map_batches`` would stop the read fusing
+    # into the kernel
+    batch_size: int = 1024
     # Skew isolation for mega-documents, on the SAME single scan: the
     # dataset chain's target block size is capped at ``mega_doc_bytes``
     # (scoped via ``ds.context`` — never the process-global DataContext)
@@ -124,7 +131,8 @@ def fused_extract(
     detector,
 ) -> Iterator[pa.Table]:
     """The pipeline's task: this worker's cached kernel on one block, in
-    ``batch_size``-row slices."""
+    slices of at most ``batch_size`` rows (one slice for a block of one
+    corpus row group)."""
     run = kernel(max_content_length, key_sort, detector)
     for off in range(0, block.num_rows, batch_size):
         yield run(block.slice(off, batch_size))

@@ -17,9 +17,10 @@ Scale/bomb guards (a crawl corpus WILL contain zip bombs):
 - nesting depth is bounded by the caller (ExtractStage threads the same
   ``_depth`` counter used for gzip, so zip-in-gzip-in-zip terminates).
 
-Only the bounded, already-expanded member bytes exist at once — a batch
-holds ``batch_size`` × (archive + expanded members) at most, which is what
-the extraction pool's small ``batch_size`` is sized for.
+Only the bounded, already-expanded member bytes exist at once, and only
+for one row: the router expands one document's container, extracts its
+members and drops them before the next row, so a batch's transient memory
+is one archive's expansion whatever the batch size.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ base64 / quoted-printable content-transfer-encoding decode. Messages are
 parsed under a ``compat32`` policy, which keeps raw header strings, so the
 MIME walk needs no header-registry object per lookup; what it reads, and
 the emitted headers, are decoded exactly as under ``policy.default`` (see
-``_Policy``). This module only flattens the MIME tree into renderable
+``_Policy`` and ``_decoded``). This module only flattens the MIME tree into renderable
 leaves; the per-leaf routing (HTML bodies through the boilerplate
 extractor, binary attachments through the magic-byte dispatch) is driven
 by ``ExtractStage`` like the archive kernels, so an email with a PDF
@@ -27,6 +27,7 @@ import email
 import email.policy
 import functools
 import re
+from email import utils
 from email.message import Message
 
 
@@ -58,20 +59,53 @@ _POLICY = _Policy()
 
 # metadata surface modeled on Tika's RFC822Parser keys
 _HEADER_KEYS = (
-    ("From", "Message:From"),
-    ("To", "Message:To"),
-    ("Cc", "Message:Cc"),
-    ("Message-ID", "Message:Message-ID"),
-    ("Date", "Message:Date"),
-    ("Subject", "dc:title"),
+    ("from", "Message:From"),
+    ("to", "Message:To"),
+    ("cc", "Message:Cc"),
+    ("message-id", "Message:Message-ID"),
+    ("date", "Message:Date"),
+    ("subject", "dc:title"),
 )
 # policy.default's header_fetch_parse(name, raw) unfolds the raw value and
 # calls its header factory, which makes a new class per call: the class
 # for each emitted header is made once here instead
 _HEADER_CLASS = {
-    hdr.lower(): email.policy.default.header_factory[hdr] for hdr, _ in _HEADER_KEYS
+    hdr: email.policy.default.header_factory[hdr] for hdr, _ in _HEADER_KEYS
 }
 _LINESEP = re.compile(r"\n|\r")
+
+# Values the header classes return unchanged, told apart without them: an
+# ASCII Subject (unstructured text changes only at encoded words), a
+# ``<dot-atom@dot-atom>`` Message-ID, and a ", "-separated list of
+# ``addr-spec`` or ``atom-phrase <addr-spec>``. Anything else (encoded
+# words, quoting, comments, groups, other spacing, non-ASCII) goes through
+# the header class.
+_ATOM = r"[A-Za-z0-9!#$%&'*+/=?^_`{|}~-]+"
+_DOT_ATOM = rf"{_ATOM}(?:\.{_ATOM})*"
+_MAILBOX = rf"(?:(?:{_ATOM} )+<{_DOT_ATOM}@{_DOT_ATOM}>|{_DOT_ATOM}@{_DOT_ATOM})"
+_MAILBOXES = re.compile(rf"{_MAILBOX}(?:, {_MAILBOX})*").fullmatch
+_CANONICAL = {
+    "from": _MAILBOXES,
+    "to": _MAILBOXES,
+    "cc": _MAILBOXES,
+    "message-id": re.compile(rf"<{_DOT_ATOM}@{_DOT_ATOM}>").fullmatch,
+    "subject": lambda value: True,
+}
+
+
+def _decoded(hdr: str, value: str) -> str:
+    """The unfolded ``value`` of header ``hdr`` as policy.default decodes
+    it."""
+    if value.isascii() and "=?" not in value:
+        if hdr == "date":
+            # DateHeader.parse's two calls; it keeps an invalid date as is
+            try:
+                return utils.format_datetime(utils.parsedate_to_datetime(value))
+            except ValueError:
+                return value
+        if _CANONICAL[hdr](value):
+            return value
+    return str(_HEADER_CLASS[hdr](hdr, value))
 
 
 def parse_message(data: bytes) -> Message:
@@ -87,18 +121,17 @@ def parse_message(data: bytes) -> Message:
 def message_metadata(msg: Message) -> dict[str, str]:
     """The emitted headers, each as ``msg.get`` returns it under
     policy.default (its first occurrence, decoded)."""
-    first: dict[str, tuple[str, str]] = {}
+    first: dict[str, str] = {}
     for name, raw in msg.raw_items():
-        first.setdefault(name.lower(), (name, raw))
+        first.setdefault(name.lower(), raw)
     meta: dict[str, str] = {}
     for hdr, key in _HEADER_KEYS:
         try:
-            name, raw = first[hdr.lower()]
-            v = _HEADER_CLASS[hdr.lower()](name, _LINESEP.sub("", raw))
+            v = _decoded(hdr, _LINESEP.sub("", first[hdr]))
         except Exception:  # absent, or defective: survives as absent
             continue
         if v:
-            meta[key] = str(v)
+            meta[key] = v
     if "Message:From" in meta:
         meta["dc:creator"] = meta["Message:From"]
     return meta

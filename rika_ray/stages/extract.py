@@ -238,9 +238,9 @@ class ExtractStage:
     + content, content_type, charset, spans, metadata columns."""
 
     # Bomb guards for every container (compressed streams, archives, mail
-    # attachments): a member may not expand past this (per-doc, not
-    # per-job; tune with worker heap — a batch holds batch_size expansions
-    # at most), and nesting stops at this depth.
+    # attachments): a member may not expand past this (per document; rows
+    # are routed one at a time, so a batch holds one row's expansions at
+    # once, whatever its size), and nesting stops at this depth.
     _MAX_EXPANDED = 256 * 1024 * 1024
     _MAX_DEPTH = 3
 

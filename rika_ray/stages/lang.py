@@ -516,7 +516,7 @@ class NBClassifier:
 # lib/rika.rb:58-61). In-model text has a margin ≥ 0.59; out-of-model
 # scripts score ≈ 0 and random ASCII gibberish ≈ 0.06.
 MIN_MARGIN = 0.25
-_CHUNK_ROWS = 512  # texts per pass: bounds the scoring arrays
+_CHUNK_ROWS = 128  # texts per pass: bounds the scoring arrays (~5 MB)
 
 
 def detect_languages(

@@ -16,7 +16,7 @@ import email.policy
 
 import pytest
 
-from rika_ray.stages import sniff
+from rika_ray.stages import email_msg, sniff
 from rika_ray.stages.email_msg import (
     message_leaves,
     message_metadata,
@@ -178,3 +178,89 @@ def test_hand_built_mail_matches_default_policy(name):
     _assert_matches_default_policy(data)
     meta, leaves = _expected(data)
     assert meta.get("Message:From") and leaves  # the case is not vacuous
+
+
+# Header values one at a time: the canonical shapes that ``email_msg``
+# decodes without the header registry, and the neighbouring shapes that
+# must still go through it.
+_HEADER_VALUES = [
+    ("From", "jane@example.test"),
+    ("From", "Jane Doe <jane.doe@mail.example.test>"),
+    ("To", "a@example.test, Bob <b.c@example.test>, d+tag@example.test"),
+    ("To", "a@example.test,b@example.test"),  # no space after the comma
+    ("To", "a@example.test ,  b@example.test"),
+    ("From", "Jane  Doe <jane@example.test>"),  # two spaces
+    ("From", "Jane Q. Doe <jane@example.test>"),  # dotted display name
+    ("From", "J.R.R. Tolkien <jrrt@example.test>"),
+    ("From", '"Doe, Jane" <jane@example.test>'),  # quoted display name
+    ("From", '"Jane" <jane@example.test>'),
+    ("From", '"jane doe"@example.test'),  # quoted local part
+    ("To", "Team: a@example.test, b@example.test;"),  # group
+    ("To", "undisclosed-recipients:;"),  # empty group
+    ("From", "jane@example.test (Jane Doe)"),  # comment
+    ("From", "Jane (the boss) Doe <jane@example.test>"),
+    ("From", "=?utf-8?q?J=C3=BCrgen?= <j@example.test>"),  # encoded word
+    ("Cc", "a@example.test, =?utf-8?b?SsO8cmdlbg==?= <j@example.test>"),
+    ("From", "<a b@c>"),
+    ("From", "Jane <a b@c>"),
+    ("From", "<jane@example.test>"),  # bare angle address
+    ("From", "jane@[192.0.2.1]"),  # domain literal
+    ("From", "jane@"),
+    ("From", "not an address"),
+    ("Cc", "Ålice <alice@example.test>"),  # raw 8-bit
+    ("To", "a@example.test,\n b@example.test,\n\tCarol <c@example.test>"),  # folded
+    ("Message-ID", "<abc.123@mail.example.test>"),
+    ("Message-ID", "<a b@c>"),
+    ("Message-ID", "<abc@example.test> (comment)"),
+    ("Message-ID", "<abc@[192.0.2.1]>"),
+    ("Message-ID", "abc@example.test"),  # no angle brackets
+    ("Message-ID", "<abc>"),
+    ("Message-ID", "<=?utf-8?q?x?=@example.test>"),
+    ("Message-ID", "<abc@example.test>\n <def@example.test>"),  # folded
+    ("Date", "Mon, 12 Jan 2026 10:00:00 +0000"),
+    ("Date", "Mon, 12 Jan 2026 10:00:00 -0000"),  # no zone information
+    ("Date", "12 Jan 2026 10:00 +0100"),
+    ("Date", "Mon, 12 Jan 2026 10:00:00 EST"),
+    ("Date", "Mon, 12 Jan 2026 10:00:00 +0000 (UTC)"),
+    ("Date", "Mon, 12 Jan 2026\n 10:00:00 +0200"),  # folded
+    ("Date", "Mon, 32 Jan 2026 10:00:00 +0000"),  # bad day
+    ("Date", "Mon, 12 Jan 2026 10:00:00 +9999"),  # bad zone
+    ("Date", "yesterday"),
+    ("Date", "Mon, 12 Jan 99999999999999999999 10:00:00 +0000"),  # overflows
+    ("Date", "Mon, 12 Jan 2026 10:00:00 +0000 é"),  # raw 8-bit
+    ("Subject", "plain ascii subject"),
+    ("Subject", "  spaced\tout  "),
+    ("Subject", "a =? b"),  # not an encoded word
+    ("Subject", "=?utf-8?q?caf=C3=A9?= and more"),
+    ("Subject", "Grüße"),
+    ("Subject", "control \x01 char"),
+    ("Subject", "folded\n\tsubject\n line"),
+]
+
+
+@pytest.mark.parametrize("header,value", _HEADER_VALUES)
+def test_header_matches_default_policy(header, value):
+    data = f"{header}: {value}\n\nbody\n".encode()
+    try:
+        want = email.message_from_bytes(data, policy=email.policy.default).get(header)
+    except Exception:  # the registry raises: the header is left out
+        want = None
+    got = message_metadata(parse_message(data)).get(dict(_HEADERS)[header])
+    assert got == (str(want) if want else None)
+
+
+@pytest.mark.parametrize(
+    "header,value",
+    [
+        ("from", "Jane Doe <jane.doe@mail.example.test>"),
+        ("to", "a@example.test, Bob <b.c@example.test>"),
+        ("message-id", "<abc.123@mail.example.test>"),
+        ("date", "Mon, 12 Jan 2026 10:00:00 -0000"),
+        ("date", "yesterday"),
+        ("subject", "plain ascii subject"),
+    ],
+)
+def test_canonical_values_skip_the_header_registry(monkeypatch, header, value):
+    want = str(email.policy.default.header_factory(header, value))
+    monkeypatch.setattr(email_msg, "_HEADER_CLASS", {})
+    assert email_msg._decoded(header, value) == want

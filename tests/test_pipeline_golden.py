@@ -155,9 +155,11 @@ def test_truncation_zero_suppresses(ray_session, corpus_dir):
 
 def test_pipeline_equals_kernel(extracted, corpus_dir):
     """The pipeline's rows equal ``FusedExtractStage`` applied Ray-free to
-    the whole web_pages table in one call. The pipeline runs the kernel in
-    batches of ``ExtractionConfig().batch_size``, so this checks that a
-    row's result does not depend on the batch it lands in."""
+    the whole web_pages table in one call. The pipeline runs the kernel
+    once per read block, and Ray splits this one-file corpus into one
+    block per CPU of the session, so rows land in different calls; where
+    the boundaries fall is Ray's choice. ``test_kernel_equals_its_slices``
+    pins batch independence at fixed slice sizes."""
     import pyarrow.parquet as pq
 
     from rika_ray.pipelines.extraction import (
@@ -178,6 +180,53 @@ def test_pipeline_equals_kernel(extracted, corpus_dir):
     assert sorted(extracted.to_pylist(), key=_key) == sorted(
         whole.to_pylist(), key=_key
     )
+
+
+@pytest.mark.parametrize("key_sort", [True, False])
+def test_kernel_equals_its_slices(corpus_tables, key_sort):
+    """A row's result does not depend on the batch it lands in: the
+    kernel over the whole table equals, in every column of every row, the
+    concatenation of its outputs over 1-, 7- and 128-row slices."""
+    from rika_ray.pipelines.extraction import (
+        EXTRACTION_INPUT_COLUMNS,
+        FusedExtractStage,
+    )
+
+    pages = corpus_tables[0].select(list(EXTRACTION_INPUT_COLUMNS))
+    run = FusedExtractStage(key_sort=key_sort)
+    whole = run(pages)
+    for size in (1, 7, 128):
+        sliced = pa.concat_tables(
+            run(pages.slice(off, size)) for off in range(0, len(pages), size)
+        )
+        assert sliced.schema == whole.schema
+        assert sliced.to_pylist() == whole.to_pylist(), size
+
+
+def test_one_row_group_is_one_kernel_call(tmp_path):
+    """Ray's Parquet reader hands the task at most one row group per
+    block, and the corpus writer writes row groups of 1,024 rows: at the
+    default config, ``fused_extract`` runs such a block as one kernel
+    call."""
+    import pyarrow.parquet as pq
+
+    from rika_ray.corpus import write_corpus
+    from rika_ray.pipelines.extraction import EXTRACTION_INPUT_COLUMNS, fused_extract
+
+    pages = pq.ParquetFile(write_corpus(str(tmp_path), n_per_family=15)["web_pages"])
+    assert pages.metadata.row_group(0).num_rows == 1024  # a full row group
+    block = pages.read_row_group(0, columns=list(EXTRACTION_INPUT_COLUMNS))
+    cfg = ExtractionConfig()
+    out = list(
+        fused_extract(
+            block,
+            batch_size=cfg.batch_size,
+            max_content_length=cfg.max_content_length,
+            key_sort=cfg.key_sort,
+            detector=cfg.detector,
+        )
+    )
+    assert [t.num_rows for t in out] == [block.num_rows]
 
 
 def test_fused_task_per_file_equals_kernel(ray_session, split_corpus_dir, tmp_path):
